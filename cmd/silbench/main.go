@@ -26,19 +26,6 @@
 // measurement on a shared runner cannot fail (or mask) a regression; the
 // median is robust where the mean is not.
 //
-// With -server the tool switches to the serving-layer load mode instead:
-//
-//	silbench -server [-clients 8] [-requests 200] [-zipf 1.2] [-cache 256]
-//	         [-shards 1] [-ctx 0] [-out BENCH_server.json]
-//
-// It starts an in-process silserver (internal/service), drives it with N
-// concurrent HTTP clients issuing a Zipf-skewed corpus mix, and reports
-// cold (cache-miss) vs warm (cache-hit) latency percentiles, the hit rate,
-// and the server's /stats counters — a non-gating measurement artifact.
-// -shards mirrors silserver -shards (fingerprint-sharded serving); the
-// report then carries per-shard counters alongside the aggregate, so the
-// sharded and single-shard artifacts compare directly.
-//
 // With -edit-replay the tool measures the incremental-analysis path
 // instead:
 //
@@ -48,7 +35,7 @@
 // it against a summary-store-backed service, and reports cold / seeded
 // resubmit / warm-after-edit / cache-hit latencies plus the fixpoint step
 // counts showing how much of the program an edit actually re-analyzes
-// (see editreplay.go). Non-gating, like -server.
+// (see editreplay.go). Non-gating.
 package main
 
 import (
@@ -157,12 +144,6 @@ func main() {
 	reset := flag.Bool("reset", false, "reset the path.Space after measuring and record the post-reset counters")
 	baseline := flag.String("baseline", "", "baseline BENCH_analysis.json to gate regressions against")
 	maxRegress := flag.Float64("max-regress", 0.15, "maximum allowed total ns/op regression vs -baseline (fraction)")
-	server := flag.Bool("server", false, "server load mode: drive an in-process silserver with concurrent clients over a Zipf-skewed corpus mix")
-	clients := flag.Int("clients", 8, "server mode: concurrent clients")
-	requests := flag.Int("requests", 200, "server mode: requests per client")
-	zipfS := flag.Float64("zipf", 1.2, "server mode: Zipf skew parameter s (>1; larger = more skewed)")
-	cacheCap := flag.Int("cache", 256, "server mode: result-cache capacity (negative disables)")
-	shards := flag.Int("shards", 1, "server mode: fingerprint shards (silserver -shards)")
 	editReplay := flag.Bool("edit-replay", false, "edit-replay mode: measure warm re-analysis of singly-edited corpus programs against the summary store")
 	flag.Parse()
 
@@ -175,16 +156,6 @@ func main() {
 			Out: out, Samples: *samples, Workers: *workers, MaxContexts: *ctx,
 		}); err != nil {
 			log.Fatalf("edit-replay mode: %v", err)
-		}
-		return
-	}
-
-	if *server {
-		if err := runServerLoad(serverLoadConfig{
-			Out: *out, Clients: *clients, Requests: *requests, ZipfS: *zipfS,
-			Cache: *cacheCap, Workers: *workers, MaxContexts: *ctx, Shards: *shards,
-		}); err != nil {
-			log.Fatalf("server load mode: %v", err)
 		}
 		return
 	}

@@ -1,7 +1,8 @@
 // Command silexp regenerates every experiment of the reproduction: one
 // section per figure of Hendren & Nicolau (1989) plus the quantitative
 // speedup and ablation studies the paper only gestures at. Its output is
-// the source of EXPERIMENTS.md.
+// the committed EXPERIMENTS.md (regenerate with
+// `go run ./cmd/silexp > EXPERIMENTS.md`); main_test.go diffs the two.
 package main
 
 import (

@@ -1,32 +1,28 @@
 // Command silserver is the analysis-as-a-service daemon: an HTTP/JSON
 // front end over internal/service, serving the Hendren–Nicolau analysis
 // with pooled sessions (each owning a private path.Space), a
-// fingerprint-keyed result cache, batched parallel analysis, and optional
-// fingerprint sharding.
+// fingerprint-keyed result cache, and batched parallel analysis.
 //
 // Usage:
 //
 //	silserver [-addr :8080] [-cache 256] [-summary-cap 4096] [-sessions 0]
-//	          [-shards 1] [-ctx 0] [-reset-paths 1048576] [-workers 0]
+//	          [-ctx 0] [-reset-paths 1048576] [-workers 0]
 //	          [-timeout 60s] [-max-queue 256] [-budget-rounds 0]
 //	          [-budget-paths 0] [-grace 30s]
 //
-// Endpoints (also reachable without the /v1 prefix):
+// Endpoints:
 //
 //	POST /v1/analyze  {"source":"program p ...","roots":["root"]}
 //	POST /v1/analyze  {"programs":[{"name":"a","source":"..."}, ...]}
-//	GET  /v1/stats    (?shard=N for one shard's snapshot when -shards > 1)
+//	GET  /v1/stats
 //	GET  /v1/metrics  Prometheus text exposition
 //	GET  /v1/healthz
 //
-// With -shards N the canonical program fingerprint is consistent-hashed
-// across N independent shards, each with its own session pool, Spaces,
-// and result cache; responses are byte-identical whatever N is. A cached
-// response is byte-identical to the fresh one; the X-Sil-Cache header
-// reports "hit" or "miss" per program. Failures use the v1 error envelope
-// {"error":{"code":...,"message":...,"diagnostics":[...]}}: parse/type
-// errors are 400 parse_error, admission sheds 429 overloaded (+
-// Retry-After), exceeded work budgets 503 budget_exceeded, expired
+// A cached response is byte-identical to the fresh one; the X-Sil-Cache
+// header reports "hit" or "miss" per program. Failures use the v1 error
+// envelope {"error":{"code":...,"message":...,"diagnostics":[...]}}:
+// parse/type errors are 400 parse_error, admission sheds 429 overloaded
+// (+ Retry-After), exceeded work budgets 503 budget_exceeded, expired
 // deadlines 504 deadline_exceeded. Deadlines, budgets, and admission
 // never change a successful response's bytes.
 package main
@@ -55,7 +51,6 @@ func main() {
 	workers := flag.Int("workers", 0, "per-analysis worker pool size (0 = default; does not affect results)")
 	ctx := flag.Int("ctx", 0, "context-table cap: 0 = default, >0 = override, <0 = merged mode")
 	resetPaths := flag.Int("reset-paths", 1<<20, "per-session interned-path budget before an epoch reset (negative disables)")
-	shards := flag.Int("shards", 1, "fingerprint shards; each shard has its own session pool and result cache")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (0 disables); expired requests return 504")
 	maxQueue := flag.Int("max-queue", 0, "admission-queue bound beyond the session pool: 0 = default 256, negative = no queue; excess requests are shed with 429")
 	budgetRounds := flag.Int("budget-rounds", 0, "per-analysis fixpoint round budget (0 = unlimited); exceeding returns 503")
@@ -63,7 +58,7 @@ func main() {
 	budgetPaths := flag.Int("budget-paths", 0, "per-analysis interned-path growth budget (0 = unlimited); exceeding returns 503")
 	flag.Parse()
 
-	router := service.NewRouter(*shards, service.Options{
+	svc := service.New(service.Options{
 		Analysis: analysis.Options{
 			Workers:     *workers,
 			MaxContexts: *ctx,
@@ -76,14 +71,14 @@ func main() {
 		MaxQueue:           *maxQueue,
 		RequestTimeout:     *timeout,
 	})
-	gate := service.NewDrainGate(service.NewRouterHandler(router))
+	gate := service.NewDrainGate(service.NewHandler(svc))
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           gate,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Printf("silserver listening on %s (shards=%d cache=%d summary-cap=%d sessions=%d ctx=%d reset-paths=%d timeout=%s max-queue=%d budget-rounds=%d budget-paths=%d)",
-		*addr, *shards, *cache, *summaryCap, *sessions, *ctx, *resetPaths, *timeout, *maxQueue, *budgetRounds, *budgetPaths)
+	log.Printf("silserver listening on %s (cache=%d summary-cap=%d sessions=%d ctx=%d reset-paths=%d timeout=%s max-queue=%d budget-rounds=%d budget-paths=%d)",
+		*addr, *cache, *summaryCap, *sessions, *ctx, *resetPaths, *timeout, *maxQueue, *budgetRounds, *budgetPaths)
 
 	// Graceful drain: on SIGTERM/SIGINT the gate starts refusing analyze
 	// requests (503 + Retry-After; healthz/stats/metrics stay up), the
@@ -109,6 +104,6 @@ func main() {
 	<-idle
 	log.Printf("silserver: drained (%d request(s) refused); final metrics:", gate.Refused())
 	var final strings.Builder
-	router.WriteMetrics(&final)
+	svc.WriteMetrics(&final)
 	log.Print(final.String())
 }

@@ -1,8 +1,8 @@
 // Package determinism enforces the bit-identical-results invariant: the
 // analysis core (internal/analysis, internal/path, internal/matrix, and the
 // interference layer that renders its verdicts) must produce the same bytes
-// for the same program regardless of worker count, shard count, or process
-// history. Two rule families:
+// for the same program regardless of worker count, session count, or
+// process history. Two rule families:
 //
 //  1. Wall-clock and randomness are banned outright in the scoped packages
 //     (time.Now/Since/Until, math/rand): any value derived from them would
@@ -41,7 +41,7 @@ import (
 // equivalence suites pin exactly these: analysis results (analysis, path,
 // matrix), the interference verdicts rendered from them, and the service
 // layer (rendered bodies, fingerprints, and summary-store records must be
-// byte-identical across shards, sessions, and warm/cold paths).
+// byte-identical across sessions and warm/cold paths).
 var Scope = []string{
 	"repro/internal/analysis",
 	"repro/internal/path",

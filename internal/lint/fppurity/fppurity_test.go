@@ -20,8 +20,8 @@ func TestFingerprintPurity(t *testing.T) {
 	lintest.RunTree(t, []*lintkit.Analyzer{fppurity.Analyzer}, "testdata/src/fptree")
 }
 
-// TestOutOfScopePackagesPass proves sinks outside Scope are silent — e.g.
-// the ring-hash Mix64 in shard routing is not a result fingerprint.
+// TestOutOfScopePackagesPass proves sinks outside Scope are silent: a
+// hash outside the scoped packages is not a result fingerprint.
 func TestOutOfScopePackagesPass(t *testing.T) {
 	orig := fppurity.Scope
 	fppurity.Scope = []string{"repro/internal/service"}

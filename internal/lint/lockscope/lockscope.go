@@ -1,5 +1,5 @@
 // Package lockscope enforces the serving layer's lock discipline: a
-// Session/Router/Service method holds its sync locks only around its own
+// Session/Service method holds its sync locks only around its own
 // state — never across a call that leaves the package (HTTP render, user
 // callbacks, the analysis pipeline) or blocks on the scheduler (channel
 // operations, WaitGroup.Wait). The session is held for the whole request

@@ -2,17 +2,17 @@ package service
 
 import (
 	"net/http"
-	"strings"
 	"sync/atomic"
 )
 
 // DrainGate wraps the service handler for graceful shutdown. Once Drain
-// is called, analyze routes are refused with 503, the draining error
-// code, and a Retry-After hint — the request belongs on another replica —
-// while /healthz, /stats, and /metrics stay up so the orchestrator and
-// scrapers can watch the drain finish. In-flight analyses are untouched:
-// refusal only keeps NEW work out of the session pools during the grace
-// window; http.Server.Shutdown then waits for the active connections.
+// is called, every route but the observability ones is refused with 503,
+// the draining error code, and a Retry-After hint — the request belongs
+// on another replica — while /v1/healthz, /v1/stats, and /v1/metrics
+// stay up so the orchestrator and scrapers can watch the drain finish.
+// In-flight analyses are untouched: refusal only keeps NEW work out of the
+// session pools during the grace window; http.Server.Shutdown then waits
+// for the active connections.
 type DrainGate struct {
 	inner    http.Handler
 	draining atomic.Bool
@@ -41,11 +41,10 @@ func (g *DrainGate) Refused() uint64 {
 }
 
 // drainExempt reports whether a path stays served while draining: the
-// read-only observability routes, versioned or not.
+// read-only observability routes.
 func drainExempt(path string) bool {
-	path = strings.TrimPrefix(path, "/v1")
 	switch path {
-	case "/healthz", "/stats", "/metrics":
+	case "/v1/healthz", "/v1/stats", "/v1/metrics":
 		return true
 	}
 	return false

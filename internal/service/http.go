@@ -6,22 +6,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 )
 
-// HTTP transport for the service, shared by cmd/silserver and the silbench
-// -server load mode. The surface is versioned under /v1/; the unversioned
-// paths are thin aliases kept for existing clients.
+// HTTP transport for the service, mounted by cmd/silserver. Every route
+// is versioned under /v1/:
 //
 //	POST /v1/analyze  {"source": "...", "roots": [...]}           single
 //	POST /v1/analyze  {"programs": [{...}, {...}]}                batch
-//	GET  /v1/stats    service counters + Space tables (?shard=N when sharded)
+//	GET  /v1/stats    service counters + Space tables
 //	GET  /v1/metrics  Prometheus text exposition (metrics.go)
 //	GET  /v1/healthz  liveness + current epoch
-//	POST /analyze     alias of /v1/analyze   GET /stats    alias of /v1/stats
-//	GET  /metrics     alias of /v1/metrics   GET /healthz  alias of /v1/healthz
 //
 // Responses for /v1/analyze carry the canonical result document(s) as the
 // body. Cache status is reported OUT OF BAND in the X-Sil-Cache header
@@ -45,16 +40,6 @@ const CacheHeader = "X-Sil-Cache"
 
 // FingerprintHeader carries the canonical program fingerprint(s).
 const FingerprintHeader = "X-Sil-Fingerprint"
-
-// Analyzer is the serving surface the HTTP transport needs; *Service and
-// *Router both implement it, so one handler covers the single and sharded
-// configurations. The context carries the caller's deadline/cancellation
-// into the analysis engine's round barriers — there is deliberately no
-// context-less entry point.
-type Analyzer interface {
-	Analyze(ctx context.Context, req Request) Response
-	AnalyzeBatch(ctx context.Context, reqs []Request) []Response
-}
 
 type analyzeRequest struct {
 	Programs []Request `json:"programs"`
@@ -92,67 +77,17 @@ func requestErrorBody(name string, rerr *RequestError) errorBody {
 	return errorBody{Code: rerr.Code, Message: rerr.Msg, Name: name, Diagnostics: rerr.Diags}
 }
 
-// handlerConfig abstracts the single/sharded difference for newMux.
-type handlerConfig struct {
-	stats   func(*http.Request) (any, error)
-	epoch   func() uint64
-	metrics func(io.Writer)
-}
-
-// NewHandler builds the HTTP API around a Service.
+// NewHandler builds the HTTP API around a Service; the service
+// RequestTimeout bounds each request's context.
 func NewHandler(s *Service) http.Handler {
-	return newMux(s, s.opts.RequestTimeout, handlerConfig{
-		stats:   func(r *http.Request) (any, error) { return s.Stats(), nil },
-		epoch:   func() uint64 { return s.Stats().Epoch },
-		metrics: s.WriteMetrics,
-	})
-}
-
-// NewRouterHandler builds the HTTP API around a shard Router. With one
-// shard it is exactly NewHandler over that shard — same /stats document —
-// so a -shards 1 server is indistinguishable from an unsharded one. With
-// more, /stats serves the RouterStats aggregate, or one shard's snapshot
-// with ?shard=N; /metrics always exposes every shard (one series per
-// shard="N" label).
-func NewRouterHandler(r *Router) http.Handler {
-	if r.NumShards() == 1 {
-		return NewHandler(r.Shard(0))
-	}
-	return newMux(r, r.Shard(0).opts.RequestTimeout, handlerConfig{
-		stats: func(req *http.Request) (any, error) {
-			if q := req.URL.Query().Get("shard"); q != "" {
-				i, err := strconv.Atoi(q)
-				if err != nil || i < 0 || i >= r.NumShards() {
-					return nil, fmt.Errorf("shard must be in [0,%d)", r.NumShards())
-				}
-				return r.Shard(i).Stats(), nil
-			}
-			return r.Stats(), nil
-		},
-		epoch:   func() uint64 { return r.Stats().Total.Epoch },
-		metrics: r.WriteMetrics,
-	})
-}
-
-// handleBoth registers one handler under its /v1/ path and the legacy
-// unversioned alias; both serve byte-identical responses.
-func handleBoth(mux *http.ServeMux, path string, h http.HandlerFunc) {
-	mux.HandleFunc("/v1"+path, h)
-	mux.HandleFunc(path, h)
-}
-
-// newMux wires the four routes around any Analyzer; handlerConfig
-// abstracts the single/sharded difference, and timeout (the service
-// RequestTimeout) bounds each request's context.
-func newMux(a Analyzer, timeout time.Duration, cfg handlerConfig) http.Handler {
 	mux := http.NewServeMux()
-	handleBoth(mux, "/analyze", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/analyze", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, errorBody{Code: CodeInvalidRequest, Message: "POST required"})
 			return
 		}
 		ctx := r.Context()
-		if timeout > 0 {
+		if timeout := s.opts.RequestTimeout; timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
@@ -164,6 +99,12 @@ func newMux(a Analyzer, timeout time.Duration, cfg handlerConfig) http.Handler {
 			writeError(w, http.StatusBadRequest, errorBody{Code: CodeInvalidRequest, Message: "bad request body: " + err.Error()})
 			return
 		}
+		// Decode reads one JSON value and stops; anything after it is a
+		// malformed request, not something to ignore.
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			writeError(w, http.StatusBadRequest, errorBody{Code: CodeInvalidRequest, Message: "bad request body: trailing data after the JSON object"})
+			return
+		}
 		single := len(req.Programs) == 0
 		reqs := req.Programs
 		if single {
@@ -173,7 +114,7 @@ func newMux(a Analyzer, timeout time.Duration, cfg handlerConfig) http.Handler {
 			}
 			reqs = []Request{req.Request}
 		}
-		resps := a.AnalyzeBatch(ctx, reqs)
+		resps := s.AnalyzeBatch(ctx, reqs)
 
 		status := http.StatusOK
 		var errs []errorBody
@@ -233,27 +174,22 @@ func newMux(a Analyzer, timeout time.Duration, cfg handlerConfig) http.Handler {
 		}
 		w.Write([]byte("}\n"))
 	})
-	handleBoth(mux, "/stats", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, errorBody{Code: CodeInvalidRequest, Message: "GET required"})
 			return
 		}
-		doc, err := cfg.stats(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, errorBody{Code: CodeInvalidRequest, Message: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, doc)
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	handleBoth(mux, "/metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, errorBody{Code: CodeInvalidRequest, Message: "GET required"})
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		cfg.metrics(w)
+		s.WriteMetrics(w)
 	})
-	handleBoth(mux, "/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, errorBody{Code: CodeInvalidRequest, Message: "GET required"})
 			return
@@ -261,7 +197,7 @@ func newMux(a Analyzer, timeout time.Duration, cfg handlerConfig) http.Handler {
 		writeJSON(w, http.StatusOK, struct {
 			Status string `json:"status"`
 			Epoch  uint64 `json:"epoch"`
-		}{"ok", cfg.epoch()})
+		}{"ok", s.Stats().Epoch})
 	})
 	return mux
 }

@@ -14,7 +14,7 @@ import (
 
 func post(t *testing.T, srv *httptest.Server, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := srv.Client().Post(srv.URL+"/analyze", "application/json", strings.NewReader(body))
+	resp, err := srv.Client().Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,28 +132,34 @@ func TestHTTPParseErrorIs400(t *testing.T) {
 	if resp, _ := post(t, srv, "{}"); resp.StatusCode != 400 {
 		t.Errorf("empty request: status %d, want 400", resp.StatusCode)
 	}
+	// A valid request followed by more JSON or garbage is rejected whole,
+	// not served from its first value.
+	trailing := `{"source":"program p\nprocedure main()\nbegin\nend;"} {"bogus":1} trailing garbage`
+	if resp, data := post(t, srv, trailing); resp.StatusCode != 400 || !strings.Contains(string(data), CodeInvalidRequest) {
+		t.Errorf("trailing data: status %d body %s, want 400 invalid_request", resp.StatusCode, data)
+	}
 }
 
 // TestHTTPStatsAndHealthz exercises the monitoring endpoints.
 func TestHTTPStatsAndHealthz(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(New(Options{})))
 	defer srv.Close()
-	resp, data := get(t, srv, "/healthz")
+	resp, data := get(t, srv, "/v1/healthz")
 	if resp.StatusCode != 200 {
-		t.Fatalf("/healthz: status %d", resp.StatusCode)
+		t.Fatalf("/v1/healthz: status %d", resp.StatusCode)
 	}
 	var hz struct {
 		Status string `json:"status"`
 	}
 	if err := json.Unmarshal(data, &hz); err != nil || hz.Status != "ok" {
-		t.Errorf("/healthz body: %s (err=%v)", data, err)
+		t.Errorf("/v1/healthz body: %s (err=%v)", data, err)
 	}
 	body, _ := json.Marshal(Request{Name: "dagdemo", Source: progs.TreeDagDemo})
 	post(t, srv, string(body))
 	post(t, srv, string(body))
-	resp, data = get(t, srv, "/stats")
+	resp, data = get(t, srv, "/v1/stats")
 	if resp.StatusCode != 200 {
-		t.Fatalf("/stats: status %d", resp.StatusCode)
+		t.Fatalf("/v1/stats: status %d", resp.StatusCode)
 	}
 	var st Stats
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -163,12 +169,12 @@ func TestHTTPStatsAndHealthz(t *testing.T) {
 		t.Errorf("unexpected stats after two posts: %s", st)
 	}
 	// Method checks.
-	if resp, _ := get(t, srv, "/analyze"); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /analyze: status %d, want 405", resp.StatusCode)
+	if resp, _ := get(t, srv, "/v1/analyze"); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/analyze: status %d, want 405", resp.StatusCode)
 	}
-	if resp, err := srv.Client().Post(srv.URL+"/stats", "application/json", strings.NewReader("{}")); err == nil {
+	if resp, err := srv.Client().Post(srv.URL+"/v1/stats", "application/json", strings.NewReader("{}")); err == nil {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST /stats: status %d, want 405", resp.StatusCode)
+			t.Errorf("POST /v1/stats: status %d, want 405", resp.StatusCode)
 		}
 		resp.Body.Close()
 	}

@@ -1,9 +1,6 @@
 // Prometheus text exposition (format 0.0.4) for the serving layer,
 // stdlib-only: fixed counter/gauge families over the Service's atomic
-// counters plus per-phase latency histograms. A Router aggregates by
-// emitting one series per shard under a uniform shard="N" label, so label
-// sets stay consistent whatever -shards is and per-shard imbalance stays
-// visible to the scraper (sum() in the query layer recovers totals).
+// counters plus per-phase latency histograms.
 //
 // Wall-clock timing lives HERE and only here: phase latencies feed
 // /metrics and never a rendered result body, so the determinism contract
@@ -127,7 +124,7 @@ func (c *codeCounters) snapshot() map[string]uint64 {
 	return out
 }
 
-// metricsSnapshot is one shard's full metric state at scrape time.
+// metricsSnapshot is the Service's full metric state at scrape time.
 type metricsSnapshot struct {
 	stats  Stats
 	codes  [len(errorCodes)]uint64
@@ -145,14 +142,13 @@ func (s *Service) metricsSnapshot() metricsSnapshot {
 	return snap
 }
 
-// WriteMetrics writes this Service's metrics as one single-shard
-// exposition (shard="0").
+// WriteMetrics writes this Service's metrics exposition.
 func (s *Service) WriteMetrics(w io.Writer) {
-	writePrometheus(w, []metricsSnapshot{s.metricsSnapshot()})
+	writePrometheus(w, s.metricsSnapshot())
 }
 
-// family is one metric family: name, type, help, and a per-shard scalar
-// extractor (histogram families are emitted separately).
+// family is one metric family: name, type, help, and a scalar extractor
+// (histogram families are emitted separately).
 type family struct {
 	name, kind, help string
 	value            func(metricsSnapshot) float64
@@ -189,7 +185,7 @@ var scalarFamilies = []family{
 		func(m metricsSnapshot) float64 { return float64(m.stats.QueueCapacity) }},
 	{"sil_epoch_resets_total", "counter", "Per-session Space epoch resets.",
 		func(m metricsSnapshot) float64 { return float64(m.stats.EpochResets) }},
-	{"sil_interned_paths", "gauge", "Interned path expressions across the shard's session Spaces.",
+	{"sil_interned_paths", "gauge", "Interned path expressions across the session Spaces.",
 		func(m metricsSnapshot) float64 { return float64(m.stats.InternedPaths) }},
 	{"sil_summary_hits_total", "counter", "Summary-store hits (seeded procedures on the incremental warm path).",
 		func(m metricsSnapshot) float64 { return float64(m.stats.SummaryStore.Hits) }},
@@ -205,44 +201,34 @@ var scalarFamilies = []family{
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// writePrometheus renders the exposition for one or more shards. Shard
-// order is positional (the Router's shard index), HELP/TYPE once per
-// family, series ordered by shard — fully deterministic for a given
-// counter state.
-func writePrometheus(w io.Writer, shards []metricsSnapshot) {
+// writePrometheus renders the exposition: HELP/TYPE once per family, then
+// its series in a fixed order — fully deterministic for a given counter
+// state.
+func writePrometheus(w io.Writer, m metricsSnapshot) {
 	for _, f := range scalarFamilies {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for sh, m := range shards {
-			fmt.Fprintf(w, "%s{shard=%q} %s\n", f.name, strconv.Itoa(sh), fmtFloat(f.value(m)))
-		}
+		fmt.Fprintf(w, "%s %s\n", f.name, fmtFloat(f.value(m)))
 	}
 	fmt.Fprintf(w, "# HELP sil_request_errors_total Failed requests by machine-readable error code.\n# TYPE sil_request_errors_total counter\n")
-	for sh, m := range shards {
-		for i, code := range errorCodes {
-			fmt.Fprintf(w, "sil_request_errors_total{shard=%q,code=%q} %d\n", strconv.Itoa(sh), code, m.codes[i])
-		}
+	for i, code := range errorCodes {
+		fmt.Fprintf(w, "sil_request_errors_total{code=%q} %d\n", code, m.codes[i])
 	}
 	fmt.Fprintf(w, "# HELP sil_phase_seconds Request-phase latency (parse, fingerprint, fixpoint, render).\n# TYPE sil_phase_seconds histogram\n")
-	for sh, m := range shards {
-		shard := strconv.Itoa(sh)
-		for ph, name := range phaseNames {
-			h := m.phases[ph]
-			cum := uint64(0)
-			for i, ub := range phaseBuckets {
-				cum += h.buckets[i]
-				fmt.Fprintf(w, "sil_phase_seconds_bucket{shard=%q,phase=%q,le=%q} %d\n", shard, name, fmtFloat(ub), cum)
-			}
-			fmt.Fprintf(w, "sil_phase_seconds_bucket{shard=%q,phase=%q,le=\"+Inf\"} %d\n", shard, name, cum+h.over)
-			fmt.Fprintf(w, "sil_phase_seconds_sum{shard=%q,phase=%q} %s\n", shard, name, fmtFloat(h.sumSecs))
-			fmt.Fprintf(w, "sil_phase_seconds_count{shard=%q,phase=%q} %d\n", shard, name, h.count)
+	for ph, name := range phaseNames {
+		h := m.phases[ph]
+		cum := uint64(0)
+		for i, ub := range phaseBuckets {
+			cum += h.buckets[i]
+			fmt.Fprintf(w, "sil_phase_seconds_bucket{phase=%q,le=%q} %d\n", name, fmtFloat(ub), cum)
 		}
+		fmt.Fprintf(w, "sil_phase_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", name, cum+h.over)
+		fmt.Fprintf(w, "sil_phase_seconds_sum{phase=%q} %s\n", name, fmtFloat(h.sumSecs))
+		fmt.Fprintf(w, "sil_phase_seconds_count{phase=%q} %d\n", name, h.count)
 	}
 	// Session-load balance: one series per pooled session.
 	fmt.Fprintf(w, "# HELP sil_session_served_total Checkouts per pooled session (worker-budget balance).\n# TYPE sil_session_served_total counter\n")
-	for sh, m := range shards {
-		for i, n := range m.stats.SessionLoads {
-			fmt.Fprintf(w, "sil_session_served_total{shard=%q,session=%q} %d\n", strconv.Itoa(sh), strconv.Itoa(i), n)
-		}
+	for i, n := range m.stats.SessionLoads {
+		fmt.Fprintf(w, "sil_session_served_total{session=%q} %d\n", strconv.Itoa(i), n)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/progs"
 )
 
 // parseExposition indexes a Prometheus text exposition by full series name
@@ -60,15 +58,15 @@ func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 	series := parseExposition(t, buf.String())
 
 	want := map[string]float64{
-		`sil_requests_total{shard="0"}`:         3,
-		`sil_analyses_total{shard="0"}`:         1,
-		`sil_request_failures_total{shard="0"}`: 1,
-		`sil_cache_hits_total{shard="0"}`:       1,
-		`sil_cache_misses_total{shard="0"}`:     1,
-		`sil_cache_entries{shard="0"}`:          1,
-		`sil_sessions{shard="0"}`:               2,
-		`sil_sessions_busy{shard="0"}`:          0,
-		`sil_queue_depth{shard="0"}`:            0,
+		`sil_requests_total`:         3,
+		`sil_analyses_total`:         1,
+		`sil_request_failures_total`: 1,
+		`sil_cache_hits_total`:       1,
+		`sil_cache_misses_total`:     1,
+		`sil_cache_entries`:          1,
+		`sil_sessions`:               2,
+		`sil_sessions_busy`:          0,
+		`sil_queue_depth`:            0,
 	}
 	for name, v := range want {
 		if got, ok := series[name]; !ok || got != v {
@@ -83,7 +81,7 @@ func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 		t.Fatalf("sortedCodes() = %v, want the sorted %d-code vocabulary", codes, len(errorCodes))
 	}
 	for _, code := range codes {
-		name := fmt.Sprintf(`sil_request_errors_total{shard="0",code=%q}`, code)
+		name := fmt.Sprintf(`sil_request_errors_total{code=%q}`, code)
 		wantV := 0.0
 		if code == CodeParseError {
 			wantV = 1
@@ -100,7 +98,7 @@ func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 	for _, phase := range phaseNames {
 		prev := -1.0
 		for _, ub := range phaseBuckets {
-			name := fmt.Sprintf(`sil_phase_seconds_bucket{shard="0",phase=%q,le=%q}`, phase, fmtFloat(ub))
+			name := fmt.Sprintf(`sil_phase_seconds_bucket{phase=%q,le=%q}`, phase, fmtFloat(ub))
 			v, ok := series[name]
 			if !ok {
 				t.Fatalf("missing bucket series %s", name)
@@ -110,48 +108,22 @@ func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 			}
 			prev = v
 		}
-		inf := series[fmt.Sprintf(`sil_phase_seconds_bucket{shard="0",phase=%q,le="+Inf"}`, phase)]
-		count := series[fmt.Sprintf(`sil_phase_seconds_count{shard="0",phase=%q}`, phase)]
+		inf := series[fmt.Sprintf(`sil_phase_seconds_bucket{phase=%q,le="+Inf"}`, phase)]
+		count := series[fmt.Sprintf(`sil_phase_seconds_count{phase=%q}`, phase)]
 		if inf != count {
 			t.Errorf("phase %s: +Inf bucket %v != count %v", phase, inf, count)
 		}
 		if count != wantCounts[phase] {
 			t.Errorf("phase %s: count %v, want %v", phase, count, wantCounts[phase])
 		}
-		if count > 0 && series[fmt.Sprintf(`sil_phase_seconds_sum{shard="0",phase=%q}`, phase)] < 0 {
+		if count > 0 && series[fmt.Sprintf(`sil_phase_seconds_sum{phase=%q}`, phase)] < 0 {
 			t.Errorf("phase %s: negative latency sum", phase)
 		}
 	}
 }
 
-// TestMetricsShardSeries: a Router exposition carries one series per shard
-// under uniform labels, and the per-shard request counters sum to the
-// total traffic.
-func TestMetricsShardSeries(t *testing.T) {
-	r := NewRouter(2, Options{Sessions: 1})
-	for _, e := range progs.Catalog {
-		if resp := r.Analyze(context.Background(), Request{Name: e.Name, Source: e.Source, Roots: e.Roots}); resp.Err != nil {
-			t.Fatalf("%s: %+v", e.Name, resp.Err)
-		}
-	}
-	var buf bytes.Buffer
-	r.WriteMetrics(&buf)
-	series := parseExposition(t, buf.String())
-	s0, ok0 := series[`sil_requests_total{shard="0"}`]
-	s1, ok1 := series[`sil_requests_total{shard="1"}`]
-	if !ok0 || !ok1 {
-		t.Fatalf("missing per-shard request series (shard0=%v shard1=%v)", ok0, ok1)
-	}
-	if int(s0+s1) != len(progs.Catalog) {
-		t.Errorf("per-shard requests sum to %v, want %d", s0+s1, len(progs.Catalog))
-	}
-	if _, ok := series[`sil_sessions{shard="1"}`]; !ok {
-		t.Error("shard 1 must expose its gauge families too")
-	}
-}
-
 // TestHTTPMetricsEndpoint: /v1/metrics serves the exposition with the
-// 0.0.4 content type, and the legacy /metrics alias is byte-identical.
+// 0.0.4 content type.
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(New(Options{})))
 	defer srv.Close()
@@ -170,37 +142,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		t.Error("exposition must declare the phase histogram family")
 	}
 	series := parseExposition(t, string(v1))
-	if series[`sil_cache_misses_total{shard="0"}`] != 1 {
-		t.Errorf("one warmup miss must be visible over HTTP: %v", series[`sil_cache_misses_total{shard="0"}`])
-	}
-	if resp, legacy := get(t, srv, "/metrics"); resp.StatusCode != 200 || !bytes.Equal(v1, legacy) {
-		t.Errorf("legacy /metrics alias must serve identical bytes (status %d)", resp.StatusCode)
-	}
-}
-
-// TestHTTPV1AnalyzeAlias: /v1/analyze and /analyze serve byte-identical
-// result documents for the same program.
-func TestHTTPV1AnalyzeAlias(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(New(Options{})))
-	defer srv.Close()
-	body, _ := json.Marshal(treeAddReq())
-	legacy, legacyBody := post(t, srv, string(body))
-	if legacy.StatusCode != 200 {
-		t.Fatalf("/analyze: %d %s", legacy.StatusCode, legacyBody)
-	}
-	resp, err := srv.Client().Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var v1Body bytes.Buffer
-	if _, err := v1Body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("/v1/analyze: %d %s", resp.StatusCode, v1Body.String())
-	}
-	if !bytes.Equal(legacyBody, v1Body.Bytes()) {
-		t.Error("/v1/analyze body differs from /analyze body")
+	if series[`sil_cache_misses_total`] != 1 {
+		t.Errorf("one warmup miss must be visible over HTTP: %v", series[`sil_cache_misses_total`])
 	}
 }

@@ -17,10 +17,7 @@
 //     construction;
 //   - BATCHED requests: a multi-program request analyzes its independent
 //     programs in parallel under one worker budget (the session pool);
-//     per-program results come back in request order;
-//   - a SHARD ROUTER (shard.go) that consistent-hashes the canonical
-//     program fingerprint across N independent Services, each with its own
-//     sessions, Spaces, and result cache.
+//     per-program results come back in request order.
 //
 // The determinism this leans on is load-bearing and separately tested: the
 // analysis is bit-identical across worker-pool sizes (the round-based
@@ -29,7 +26,8 @@
 // is what makes the canonical-print fingerprint a sound cache key. Because
 // rendered bodies are pure functions of the canonical source and options —
 // never of intern IDs or Space identity — they are also byte-identical
-// across shard counts, which is what the shard-equivalence suite pins.
+// whichever pooled session served them, which the session-count
+// equivalence suite pins.
 package service
 
 import (
@@ -370,10 +368,7 @@ func New(opts Options) *Service {
 	return s
 }
 
-// prepared is a compiled, fingerprinted request ready to be served — the
-// routing unit: prepare is side-effect-free on the service counters, so a
-// shard router can prepare once, pick the owning shard by fingerprint, and
-// hand the prepared request to that shard's analyzePrepared.
+// prepared is a compiled, fingerprinted request ready to be served.
 type prepared struct {
 	name string
 	prog *ast.Program
@@ -382,9 +377,7 @@ type prepared struct {
 	err  *RequestError // compile failure; fp is zero and prog is nil
 }
 
-// prepare compiles and fingerprints a request. It touches no counters and
-// no session state, so any Service instance built from the same Options
-// prepares identically.
+// prepare compiles and fingerprints a request.
 func (s *Service) prepare(req Request) prepared {
 	if verr := req.validate(); verr != nil {
 		return prepared{name: req.Name, err: verr}
@@ -418,15 +411,10 @@ func (s *Service) prepare(req Request) prepared {
 // Deadlines, budgets, and admission can only FAIL a request — a successful
 // response's bytes are identical whatever they are set to.
 func (s *Service) Analyze(ctx context.Context, req Request) Response {
-	return s.analyzePrepared(ctx, s.prepare(req))
-}
-
-// analyzePrepared serves a prepared request on this Service's own cache
-// and session pool.
-func (s *Service) analyzePrepared(ctx context.Context, p prepared) Response {
 	if ctx == nil {
 		ctx = context.Background() //sillint:allow ctxflow nil-default for direct library callers; HTTP paths always thread the request ctx
 	}
+	p := s.prepare(req)
 	s.served.Add(1)
 	if p.err != nil {
 		return s.errResponse(p.name, "", p.err)
@@ -601,8 +589,8 @@ func (s *Service) runAnalysis(ctx context.Context, p prepared) ([]byte, *Request
 	// pure function of the canonical source, like everything else in
 	// the body — so a cache hit is correct for every requester
 	// regardless of the request label (Response.Name carries the
-	// label), and the bytes are identical whichever session (or shard)
-	// produced them.
+	// label), and the bytes are identical whichever session produced
+	// them.
 	t = metricsNow()
 	body, rendErr := renderResult(p.prog.Name, p.fp, info, parRes)
 	if rendErr != nil {

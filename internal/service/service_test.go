@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -163,6 +164,82 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// equivalenceRequests is the session-count equivalence corpus: every
+// catalog program plus deterministic random programs (fresh fingerprints
+// the catalog never exercises) plus programs that fail to compile
+// (diagnostics must be session-count-invariant too).
+func equivalenceRequests() []Request {
+	reqs := corpusRequests()
+	for seed := int64(1); seed <= 12; seed++ {
+		reqs = append(reqs, Request{
+			Name:   fmt.Sprintf("rnd%d", seed),
+			Source: progs.RandomProgram(seed),
+		})
+	}
+	return append(reqs,
+		Request{Name: "bad-syntax", Source: "program broken\nprocedure main()\nbegin\n  x := \nend;"},
+		Request{Name: "bad-type", Source: "program broken\nprocedure main()\n  x: int\nbegin\n  x := new()\nend;"},
+	)
+}
+
+// TestSessionCountEquivalence: the same request stream against pools of 1,
+// 2, and 8 sessions (each session a private Space) must produce
+// byte-identical rendered bodies and identical diagnostics for every
+// program. The pool size is a capacity knob, never a semantics knob. Each
+// stream runs twice so cache hits are exercised at every pool size.
+func TestSessionCountEquivalence(t *testing.T) {
+	reqs := equivalenceRequests()
+	ref := New(Options{})
+	want := make([]Response, len(reqs))
+	for i, req := range reqs {
+		want[i] = ref.Analyze(context.Background(), req)
+	}
+	for _, sessions := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("sessions=%d", sessions), func(t *testing.T) {
+			svc := New(Options{Sessions: sessions})
+			for pass := 0; pass < 2; pass++ {
+				got := svc.AnalyzeBatch(context.Background(), reqs)
+				for i, resp := range got {
+					w := want[i]
+					if (resp.Err == nil) != (w.Err == nil) {
+						t.Fatalf("pass %d, %s: error presence diverged: %v vs %v",
+							pass, reqs[i].Name, resp.Err, w.Err)
+					}
+					if resp.Err != nil {
+						if resp.Err.Status != w.Err.Status || resp.Err.Msg != w.Err.Msg ||
+							!reflect.DeepEqual(resp.Err.Diags, w.Err.Diags) {
+							t.Errorf("pass %d, %s: diagnostics diverged across session counts:\n%+v\nvs\n%+v",
+								pass, reqs[i].Name, resp.Err, w.Err)
+						}
+						continue
+					}
+					if resp.Fingerprint != w.Fingerprint {
+						t.Errorf("pass %d, %s: fingerprint diverged: %s vs %s",
+							pass, reqs[i].Name, resp.Fingerprint, w.Fingerprint)
+					}
+					if !bytes.Equal(resp.Body, w.Body) {
+						t.Errorf("pass %d, %s: body diverged across session counts", pass, reqs[i].Name)
+					}
+				}
+			}
+			// Sanity: with several sessions the analyses must actually
+			// spread — an all-on-one-session run would make equivalence
+			// vacuous.
+			if sessions > 1 {
+				busy := 0
+				for _, n := range svc.Stats().SessionLoads {
+					if n > 0 {
+						busy++
+					}
+				}
+				if busy < 2 {
+					t.Errorf("analyses ran on %d of %d sessions", busy, sessions)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentLoadWithEvictionsAndResets hammers one service from many
 // goroutines with a cache too small for the corpus (forcing evictions) and
 // an interned-path budget low enough to force epoch resets mid-load. Every
@@ -216,6 +293,65 @@ func TestConcurrentLoadWithEvictionsAndResets(t *testing.T) {
 	if st.CacheSize > 4 {
 		t.Errorf("cache exceeded its capacity: %d > 4", st.CacheSize)
 	}
+}
+
+// TestResetOnOneShardDoesNotStallAnother: with the cache off and an
+// interned-path budget far below any program's working set, every session
+// resets its Space after about every analysis. Each session is an isolated
+// shard of the analysis state, so several of them must reset while their
+// siblings are mid-analysis, and every response must still match the
+// single-threaded reference bytes. Under -race this pins that a reset
+// touches only the checked-out session's Space.
+func TestResetOnOneShardDoesNotStallAnother(t *testing.T) {
+	reqs := corpusRequests()
+	ref := New(Options{})
+	want := map[string][]byte{}
+	for _, req := range reqs {
+		resp := ref.Analyze(context.Background(), req)
+		if resp.Err != nil {
+			t.Fatalf("%s: %v", req.Name, resp.Err)
+		}
+		want[req.Name] = resp.Body
+	}
+	svc := New(Options{
+		Sessions:           4,
+		CacheCapacity:      -1, // every request analyzes: maximum reset pressure
+		ResetInternedPaths: 40, // far below any program's working set: reset after ~every request
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2*len(reqs); i++ {
+				req := reqs[(g+i)%len(reqs)]
+				resp := svc.Analyze(context.Background(), req)
+				if resp.Err != nil {
+					t.Errorf("%s: %v", req.Name, resp.Err)
+					return
+				}
+				if !bytes.Equal(resp.Body, want[req.Name]) {
+					t.Errorf("%s: response diverged under concurrent resets", req.Name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := svc.Stats()
+	if st.EpochResets == 0 {
+		t.Fatal("load must have forced epoch resets")
+	}
+	resetting := 0
+	for _, epoch := range st.SessionEpochs {
+		if epoch > 0 {
+			resetting++
+		}
+	}
+	if resetting < 2 {
+		t.Errorf("only %d session(s) reset; need concurrent resets on several sessions to prove isolation", resetting)
+	}
+	t.Logf("%s; %d/%d sessions reset", st, resetting, len(st.SessionEpochs))
 }
 
 // TestParseErrorIs400 pins the error contract: parse/type failures are

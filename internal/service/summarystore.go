@@ -33,7 +33,7 @@ type SummaryStore interface {
 	Stats() SummaryStoreStats
 }
 
-// SummaryStoreStats is the /stats block for one shard's summary store.
+// SummaryStoreStats is the /stats block for the summary store.
 type SummaryStoreStats struct {
 	Entries  int    `json:"entries"`
 	Bytes    int64  `json:"bytes"`
@@ -45,17 +45,6 @@ type SummaryStoreStats struct {
 	// (edit) invalidation channel, as opposed to capacity evictions.
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-}
-
-func (a SummaryStoreStats) add(b SummaryStoreStats) SummaryStoreStats {
-	a.Entries += b.Entries
-	a.Bytes += b.Bytes
-	a.Capacity += b.Capacity
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Invalidations += b.Invalidations
-	a.Evictions += b.Evictions
-	return a
 }
 
 // lruSummaryStore is the baseline SummaryStore: a bounded LRU with a
