@@ -93,7 +93,7 @@ type Options struct {
 
 // withDefaults fills the scalar knobs. It deliberately leaves Space alone:
 // the process-global fallback is bound in exactly one place (Analyze), so
-// reading ContextSensitive/EffectiveWorkers off an Options value never
+// reading ContextSensitive off an Options value never
 // materializes the global Space as a side effect.
 func (o Options) withDefaults() Options {
 	if o.Limits == (path.Limits{}) {
@@ -121,12 +121,8 @@ func (o Options) withDefaults() Options {
 }
 
 // ContextSensitive reports whether Analyze will keep per-context summaries
-// for this Options value (reporting hook for silbench).
+// for this Options value (the mode the rendered result document reports).
 func (o Options) ContextSensitive() bool { return o.withDefaults().MaxContexts > 0 }
-
-// EffectiveWorkers returns the worker-pool size Analyze will actually use
-// for this Options value (reporting hook for silbench).
-func (o Options) EffectiveWorkers() int { return o.withDefaults().Workers }
 
 // Diagnostic is a structure-verification or safety finding.
 type Diagnostic struct {
@@ -765,25 +761,7 @@ func (e *engine) sameSCC(caller, callee string) bool {
 // Tarjan's algorithm. Components are numbered from 1; procedures missing
 // from the program map to 0, which sameSCC never matches.
 func callGraphSCC(prog *ast.Program) map[string]int {
-	callees := map[string][]string{}
-	for _, d := range prog.Decls {
-		seen := map[string]bool{}
-		walkStmts(d.Body, func(s ast.Stmt) {
-			name := ""
-			switch s := s.(type) {
-			case *ast.CallStmt:
-				name = s.Name
-			case *ast.Assign:
-				if c, ok := s.Rhs.(*ast.CallExpr); ok {
-					name = c.Name
-				}
-			}
-			if name != "" && !seen[name] && prog.Proc(name) != nil {
-				seen[name] = true
-				callees[d.Name] = append(callees[d.Name], name)
-			}
-		})
-	}
+	callees := ast.Callees(prog)
 	scc := map[string]int{}
 	index := map[string]int{}
 	low := map[string]int{}

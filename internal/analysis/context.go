@@ -734,7 +734,8 @@ func (s *Summary) LazyStats() (activations, analyses, shared int) {
 }
 
 // CtxTableStats aggregates the context-table statistics of a whole
-// analysis (reporting hook for silbench).
+// analysis (reported in the result document and the bench/ layer
+// counters, and pinned per corpus program by TestCorpusWorkCounts).
 type CtxTableStats struct {
 	// Exact counts live exact contexts; MergedProcs counts procedures
 	// whose merged fallback exists; Evictions counts cap evictions.

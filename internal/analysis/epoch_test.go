@@ -111,7 +111,7 @@ func TestEpochResetEquivalence(t *testing.T) {
 	if st := sp.Stats(); st.InternedPaths == 0 || st.Verdicts() == 0 {
 		t.Fatalf("batch did not populate the space: %+v", st)
 	}
-	if matrix.InternedHandles() == 0 {
+	if matrix.DefaultSpace().InternedHandles() == 0 {
 		t.Fatal("batch did not populate the handle table")
 	}
 
@@ -120,7 +120,7 @@ func TestEpochResetEquivalence(t *testing.T) {
 	if st.InternedPaths != 0 || st.Verdicts() != 0 || st.ResidueEntries != 0 {
 		t.Fatalf("Space.Reset must empty every table: %+v", st)
 	}
-	if matrix.InternedHandles() != 0 {
+	if matrix.DefaultSpace().InternedHandles() != 0 {
 		t.Fatal("Space.Reset must cascade to the matrix handle table")
 	}
 

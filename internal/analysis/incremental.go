@@ -312,26 +312,7 @@ func importSeeds(e *engine, seeds map[string]*ProcSeed) []seededProc {
 	if len(seeds) == 0 {
 		return nil
 	}
-	callees := make(map[string][]string, len(e.prog.Decls))
-	for _, decl := range e.prog.Decls {
-		d := decl
-		seen := map[string]bool{}
-		walkStmts(d.Body, func(st ast.Stmt) {
-			name := ""
-			switch st := st.(type) {
-			case *ast.CallStmt:
-				name = st.Name
-			case *ast.Assign:
-				if c, ok := st.Rhs.(*ast.CallExpr); ok {
-					name = c.Name
-				}
-			}
-			if name != "" && !seen[name] && e.prog.Proc(name) != nil {
-				seen[name] = true
-				callees[d.Name] = append(callees[d.Name], name)
-			}
-		})
-	}
+	callees := ast.Callees(e.prog)
 	decoded := map[string]*decodedSeed{}
 	for name, ps := range seeds {
 		decl := e.prog.Proc(name)

@@ -19,19 +19,17 @@ import (
 // Space-receiver form library code must use instead.
 var banned = map[string]map[string]string{
 	"repro/internal/path": {
-		"DefaultSpace":  "thread a *path.Space (path.NewSpace, or the Space owned by the caller)",
-		"New":           "use (*path.Space).New",
-		"NewPossible":   "use (*path.Space).NewPossible",
-		"Parse":         "use (*path.Space).Parse",
-		"MustParse":     "use (*path.Space).Parse on an explicit Space",
-		"ParseSet":      "use (*path.Space).ParseSet",
-		"MustParseSet":  "use (*path.Space).ParseSet on an explicit Space",
-		"InternedCount": "use (*path.Space).InternedCount",
+		"DefaultSpace": "thread a *path.Space (path.NewSpace, or the Space owned by the caller)",
+		"New":          "use (*path.Space).New",
+		"NewPossible":  "use (*path.Space).NewPossible",
+		"Parse":        "use (*path.Space).Parse",
+		"MustParse":    "use (*path.Space).Parse on an explicit Space",
+		"ParseSet":     "use (*path.Space).ParseSet",
+		"MustParseSet": "use (*path.Space).ParseSet on an explicit Space",
 	},
 	"repro/internal/matrix": {
-		"DefaultSpace":    "thread a *matrix.Space (matrix.NewSpace, or Options.Space)",
-		"New":             "use matrix.NewIn with an explicit *matrix.Space",
-		"InternedHandles": "use (*matrix.Space).InternedHandles",
+		"DefaultSpace": "thread a *matrix.Space (matrix.NewSpace, or Options.Space)",
+		"New":          "use matrix.NewIn with an explicit *matrix.Space",
 	},
 }
 

@@ -14,10 +14,8 @@ func bad() {
 	_, _ = path.Parse("D+")                 // want `path\.Parse binds the process-global Space`
 	_ = path.MustParse("D+")                // want `path\.MustParse binds the process-global Space`
 	_ = path.MustParseSet("S, D+?")         // want `path\.MustParseSet binds the process-global Space`
-	_ = path.InternedCount()                // want `path\.InternedCount binds the process-global Space`
 	_ = matrix.New()                        // want `matrix\.New binds the process-global Space`
 	_ = matrix.DefaultSpace()               // want `matrix\.DefaultSpace binds the process-global Space`
-	_ = matrix.InternedHandles()            // want `matrix\.InternedHandles binds the process-global Space`
 	_, _ = path.ParseSet("S, R1D+?")        // want `path\.ParseSet binds the process-global Space`
 }
 

@@ -81,10 +81,6 @@ func (sp *Space) InternedHandles() int {
 	return n
 }
 
-// InternedHandles reports the default Space's count (monitoring hook for
-// silbench).
-func InternedHandles() int { return DefaultSpace().InternedHandles() }
-
 // idOf interns h and returns its stable ID within the Space.
 func (sp *Space) idOf(h Handle) uint32 {
 	sp.mu.RLock()

@@ -452,7 +452,7 @@ func TestHandleIDsNotReusedAcrossEpochs(t *testing.T) {
 	sp := DefaultSpace()
 	a := sp.idOf("epoch-probe-a")
 	path.DefaultSpace().Reset()
-	if got := InternedHandles(); got != 0 {
+	if got := sp.InternedHandles(); got != 0 {
 		t.Fatalf("reset must empty the handle table, have %d", got)
 	}
 	b := sp.idOf("epoch-probe-b")

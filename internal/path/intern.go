@@ -157,7 +157,3 @@ func (p Path) Signature() uint64 {
 // InternedCount reports how many distinct non-empty path expressions the
 // Space's current epoch holds.
 func (sp *Space) InternedCount() int { return int(sp.interned.Load()) }
-
-// InternedCount reports the process-default Space's count (monitoring hook
-// for silbench).
-func InternedCount() int { return procSpace.InternedCount() }

@@ -97,14 +97,6 @@ func (t *memoTable) reset() {
 	}
 }
 
-// MemoizedVerdicts reports how many subsumption/overlap/prefix verdicts
-// the process-default Space's current epoch holds (monitoring hook for
-// silbench).
-func MemoizedVerdicts() int {
-	sp := procSpace
-	return sp.subsume.size() + sp.overlap.size() + sp.prefix.size()
-}
-
 // residueTable caches Residue results per (expression, direction), computed
 // on the definite form; Path.Residue adjusts flags for possible inputs.
 // The cached slices are immutable.

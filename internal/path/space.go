@@ -112,7 +112,7 @@ func (sp *Space) Reset() {
 }
 
 // SpaceStats is a point-in-time snapshot of a Space's table sizes and memo
-// traffic (the monitoring surface for silbench and service dashboards).
+// traffic (the monitoring surface for /v1/stats and the bench/ layer counters).
 type SpaceStats struct {
 	Epoch           uint64
 	InternedPaths   int
@@ -127,16 +127,6 @@ type SpaceStats struct {
 // Verdicts is the total number of memoized language-question verdicts.
 func (st SpaceStats) Verdicts() int {
 	return st.SubsumeVerdicts + st.OverlapVerdicts + st.PrefixVerdicts
-}
-
-// HitRate is the fraction of memo lookups answered from cache (0 when no
-// lookups happened yet).
-func (st SpaceStats) HitRate() float64 {
-	total := st.MemoHits + st.MemoMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.MemoHits) / float64(total)
 }
 
 // Stats snapshots the current epoch's table sizes and counters.

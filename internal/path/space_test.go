@@ -91,7 +91,7 @@ func TestSpaceResetDropsTables(t *testing.T) {
 	if sp.Stats().InternedPaths == 0 {
 		t.Error("new epoch should intern again")
 	}
-	if InternedCount() != sp.Stats().InternedPaths {
+	if sp.InternedCount() != sp.Stats().InternedPaths {
 		t.Error("InternedCount must track the current epoch")
 	}
 }

@@ -340,7 +340,7 @@ end;
 // the first one. Since mod-ref proves depth never writes through (or
 // attaches) its argument, the second context cannot observe the
 // difference: the analysis binds the converged first exit to it instead of
-// analyzing a second context (silbench reports it under exitsShared).
+// analyzing a second context (CtxTableStats reports it under ExitsShared).
 const ShareRead = `
 program shareread
 procedure main()

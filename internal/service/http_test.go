@@ -220,3 +220,28 @@ func TestHTTPBatchPartialFailure(t *testing.T) {
 		t.Errorf("%s = %q, want miss,error", CacheHeader, v)
 	}
 }
+
+// TestHTTPDeepNestingIsParseError: ten megabytes of nested parentheses —
+// under the body cap — answer 400 parse_error, and the server keeps
+// serving. Without the parser's nesting cap this request overflowed the
+// goroutine stack, a fatal error that took the whole process down.
+func TestHTTPDeepNestingIsParseError(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(New(Options{})))
+	defer srv.Close()
+	const depth = 5_000_000
+	src := "program deep\nprocedure main()\n  x: int\nbegin\n  x := " +
+		strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "\nend;\n"
+	body, _ := json.Marshal(Request{Source: src})
+
+	resp, data := post(t, srv, string(body))
+	if resp.StatusCode != 400 {
+		t.Fatalf("deep nesting: status %d, want 400: %.200s", resp.StatusCode, data)
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != CodeParseError {
+		t.Fatalf("deep nesting: envelope %.200s (err %v), want code %s", data, err, CodeParseError)
+	}
+	if resp, data := get(t, srv, "/v1/healthz"); resp.StatusCode != 200 {
+		t.Fatalf("healthz after deep nesting: status %d: %s", resp.StatusCode, data)
+	}
+}

@@ -174,35 +174,35 @@ func TestSummaryKeysDistinctWithinSCC(t *testing.T) {
 	}
 }
 
-// TestLRUSummaryStore unit-tests the baseline store policy.
+// TestLRUSummaryStore unit-tests the store's LRU and invalidation policy.
 func TestLRUSummaryStore(t *testing.T) {
-	st := NewLRUSummaryStore(2)
+	st := newSummaryStore(2)
 	mk := func(hi uint64) Fp { return Fp{Hi: hi, Lo: hi} }
 	rec := &analysis.ProcSeed{}
-	st.Put(mk(1), mk(101), rec)
-	st.Put(mk(2), mk(102), rec)
-	if _, ok := st.Get(mk(1)); !ok { // refresh 1: now 2 is LRU
+	st.put(mk(1), mk(101), rec)
+	st.put(mk(2), mk(102), rec)
+	if _, ok := st.get(mk(1)); !ok { // refresh 1: now 2 is LRU
 		t.Fatal("warm record missing")
 	}
-	st.Put(mk(3), mk(103), rec) // evicts 2
-	if _, ok := st.Get(mk(2)); ok {
+	st.put(mk(3), mk(103), rec) // evicts 2
+	if _, ok := st.get(mk(2)); ok {
 		t.Fatal("LRU record not evicted")
 	}
-	if _, ok := st.Get(mk(1)); !ok {
+	if _, ok := st.get(mk(1)); !ok {
 		t.Fatal("refreshed record evicted instead of LRU")
 	}
 	// Same body under a new key invalidates the old record.
-	st.Put(mk(4), mk(103), rec)
-	if _, ok := st.Get(mk(3)); ok {
+	st.put(mk(4), mk(103), rec)
+	if _, ok := st.get(mk(3)); ok {
 		t.Fatal("stale record for re-keyed body not invalidated")
 	}
-	s := st.Stats()
+	s := st.stats()
 	if s.Evictions != 1 || s.Invalidations != 1 || s.Entries != 2 || s.Capacity != 2 {
 		t.Fatalf("stats: %+v", s)
 	}
-	// Re-Put of an existing key keeps the incumbent (no growth).
-	st.Put(mk(4), mk(103), rec)
-	if got := st.Stats().Entries; got != 2 {
+	// Re-put of an existing key keeps the incumbent (no growth).
+	st.put(mk(4), mk(103), rec)
+	if got := st.stats().Entries; got != 2 {
 		t.Fatalf("same-key re-put grew the store to %d", got)
 	}
 }

@@ -29,20 +29,13 @@ type ProcFp struct {
 // procedure in a checked, normalized program.
 func ProcFingerprints(prog *ast.Program) map[string]ProcFp {
 	bodies := make(map[string]Fp, len(prog.Decls))
-	callees := make(map[string][]string, len(prog.Decls))
 	for _, d := range prog.Decls {
 		f := Fp{Hi: fpSeedHi, Lo: fpSeedLo}
 		f.mixString("sil-proc/v1")
 		f.mixString(printer.PrintDecl(d))
 		bodies[d.Name] = f
-		seen := map[string]bool{}
-		walkCalls(d.Body, func(name string) {
-			if !seen[name] && prog.Proc(name) != nil {
-				seen[name] = true
-				callees[d.Name] = append(callees[d.Name], name)
-			}
-		})
 	}
+	callees := ast.Callees(prog)
 	out := make(map[string]ProcFp, len(prog.Decls))
 	for _, d := range prog.Decls {
 		reach := map[string]bool{}
@@ -101,32 +94,4 @@ func SummaryKey(cohort Fp, opts analysis.Options) Fp {
 	f.mixInt(opts.Limits.MaxSegs)
 	f.mixInt(opts.Limits.MaxPaths)
 	return f
-}
-
-// walkCalls visits the callee name of every call in a statement subtree.
-func walkCalls(s ast.Stmt, f func(string)) {
-	if s == nil {
-		return
-	}
-	switch s := s.(type) {
-	case *ast.Block:
-		for _, st := range s.Stmts {
-			walkCalls(st, f)
-		}
-	case *ast.Par:
-		for _, st := range s.Branches {
-			walkCalls(st, f)
-		}
-	case *ast.If:
-		walkCalls(s.Then, f)
-		walkCalls(s.Else, f)
-	case *ast.While:
-		walkCalls(s.Body, f)
-	case *ast.CallStmt:
-		f(s.Name)
-	case *ast.Assign:
-		if c, ok := s.Rhs.(*ast.CallExpr); ok {
-			f(c.Name)
-		}
-	}
 }

@@ -79,9 +79,6 @@ type Options struct {
 	// misses (summarystore.go). 0 picks 4096; negative disables
 	// incremental analysis entirely.
 	SummaryCapacity int
-	// SummaryStore overrides the store implementation (policy sweeps);
-	// nil builds the LRU baseline with SummaryCapacity.
-	SummaryStore SummaryStore
 	// MaxQueue bounds the ADMISSION QUEUE in front of the session pool:
 	// beyond the Sessions analyses that can run concurrently, at most
 	// MaxQueue further analyses may wait for a session; any request past
@@ -141,7 +138,7 @@ type Request struct {
 	// (analysis.Options.ExternalRoots).
 	Roots []string `json:"roots,omitempty"`
 	// MaxContexts overrides the context-table cap when non-zero (negative
-	// = merged mode), mirroring silbench -ctx.
+	// = merged mode), mirroring analysis.Options.MaxContexts.
 	MaxContexts int `json:"max_contexts,omitempty"`
 	// Limits overrides path-domain budgets per request so interactive
 	// clients can set tighter budgets than batch ones. Zero fields keep
@@ -277,7 +274,11 @@ type Service struct {
 	// analysis (summarystore.go); nil when disabled. It is service-level
 	// (not per-session): records are Space-free, so any session can seed
 	// from any record.
-	sumStore SummaryStore
+	sumStore *summaryStore
+	// afterCheckout, when set, runs right after runAnalysis checks a
+	// session out: a test hook that parks a request while it holds a
+	// session and an admission token. Never set outside tests.
+	afterCheckout func()
 
 	// admit is the admission-control token bucket: capacity Sessions +
 	// MaxQueue. An analysis must take a token (non-blocking — failure is
@@ -360,10 +361,8 @@ func New(opts Options) *Service {
 		s.sessionList = append(s.sessionList, sess)
 		s.sessions <- sess
 	}
-	if opts.SummaryStore != nil {
-		s.sumStore = opts.SummaryStore
-	} else if opts.SummaryCapacity > 0 {
-		s.sumStore = NewLRUSummaryStore(opts.SummaryCapacity)
+	if opts.SummaryCapacity > 0 {
+		s.sumStore = newSummaryStore(opts.SummaryCapacity)
 	}
 	return s
 }
@@ -552,6 +551,9 @@ func (s *Service) runAnalysis(ctx context.Context, p prepared) ([]byte, *Request
 		return nil, rerr
 	}
 	defer s.checkin(sess)
+	if s.afterCheckout != nil {
+		s.afterCheckout()
+	}
 	opts := p.opts
 	opts.Space = sess.space
 	opts.Budgets = s.opts.Analysis.Budgets
@@ -568,7 +570,7 @@ func (s *Service) runAnalysis(ctx context.Context, p prepared) ([]byte, *Request
 		seeds := make(map[string]*analysis.ProcSeed, len(procFps))
 		for name, pf := range procFps {
 			key := SummaryKey(pf.Cohort, p.opts)
-			if seed, ok := s.sumStore.Get(key); ok {
+			if seed, ok := s.sumStore.get(key); ok {
 				seeds[name] = seed
 			} else {
 				missing[name] = key
@@ -598,11 +600,11 @@ func (s *Service) runAnalysis(ctx context.Context, p prepared) ([]byte, *Request
 	}
 	if len(missing) > 0 {
 		// Backfill only the store misses: hits were just refreshed by
-		// Get, and deterministic exports make a re-Put a no-op.
+		// get, and deterministic exports make a re-put a no-op.
 		exported := analysis.ExportSeeds(info)
 		for name, key := range missing {
 			if seed := exported[name]; seed != nil {
-				s.sumStore.Put(key, procFps[name].Body, seed)
+				s.sumStore.put(key, procFps[name].Body, seed)
 			}
 		}
 	}
@@ -823,7 +825,7 @@ func (s *Service) Stats() Stats {
 		EpochResets:    s.resets.Load(),
 	}
 	if s.sumStore != nil {
-		st.SummaryStore = s.sumStore.Stats()
+		st.SummaryStore = s.sumStore.stats()
 	}
 	var memoHits, memoMisses uint64
 	for _, sess := range s.sessionList {

@@ -10,32 +10,30 @@ import (
 	"repro/internal/progs"
 )
 
-// gateStore is a SummaryStore whose Get blocks until released. runAnalysis
-// probes the store right after checking a session out, so a blocked Get is
-// a deterministic "analysis in progress, session held" rendezvous — the
+// gate parks every analysis right after its session checkout until
+// released: installed as Service.afterCheckout, a blocked wait is a
+// deterministic "analysis in progress, session held" rendezvous — the
 // concurrency tests below park a request there instead of racing timers
 // against real fixpoint work.
-type gateStore struct {
-	entered chan struct{} // one signal per Get reached
-	release chan struct{} // close to let every Get (current and future) through
+type gate struct {
+	entered chan struct{} // one signal per parked analysis
+	release chan struct{} // close to let every analysis (current and future) through
 }
 
-func newGateStore() *gateStore {
-	return &gateStore{entered: make(chan struct{}, 64), release: make(chan struct{})}
+// newGate builds a gate and installs it on svc.
+func newGate(svc *Service) *gate {
+	g := &gate{entered: make(chan struct{}, 64), release: make(chan struct{})}
+	svc.afterCheckout = g.wait
+	return g
 }
 
-func (g *gateStore) Get(key Fp) (*analysis.ProcSeed, bool) {
+func (g *gate) wait() {
 	select {
 	case g.entered <- struct{}{}:
 	default:
 	}
 	<-g.release
-	return nil, false
 }
-
-func (g *gateStore) Put(key Fp, bodyFp Fp, seed *analysis.ProcSeed) {}
-
-func (g *gateStore) Stats() SummaryStoreStats { return SummaryStoreStats{} }
 
 // stepCancelCtx reports Canceled after `left` Err checks — the service-side
 // twin of the analysis package's countdown context: it lands a cancellation
@@ -72,13 +70,12 @@ func treeAddReq() Request {
 // parked mid-run, the next distinct program is refused admission with 429
 // overloaded — and once the first run finishes, the pool serves again.
 func TestAdmissionShed429(t *testing.T) {
-	gate := newGateStore()
 	svc := New(Options{
 		Sessions:      1,
 		MaxQueue:      -1, // no queue: pool full = shed
 		CacheCapacity: -1, // no coalescing: every request meets admission
-		SummaryStore:  gate,
 	})
+	gate := newGate(svc)
 	first := make(chan Response, 1)
 	go func() { first <- svc.Analyze(context.Background(), treeAddReq()) }()
 	<-gate.entered // the session is now held, admission is saturated
@@ -112,13 +109,12 @@ func TestAdmissionShed429(t *testing.T) {
 // before a session frees leaves with 499 canceled, counted as expired, and
 // returns its admission token (the pool keeps serving).
 func TestQueueExpired(t *testing.T) {
-	gate := newGateStore()
 	svc := New(Options{
 		Sessions:      1,
 		MaxQueue:      1,
 		CacheCapacity: -1,
-		SummaryStore:  gate,
 	})
+	gate := newGate(svc)
 	first := make(chan Response, 1)
 	go func() { first <- svc.Analyze(context.Background(), treeAddReq()) }()
 	<-gate.entered
@@ -234,8 +230,8 @@ func TestBudgetedServiceByteIdentical(t *testing.T) {
 // it. Before the detachment fix the leader's deadline killed the shared
 // work and every waiter got the leader's error.
 func TestDetachedFlightSurvivesLeaderDeadline(t *testing.T) {
-	gate := newGateStore()
-	svc := New(Options{Sessions: 1, SummaryStore: gate})
+	svc := New(Options{Sessions: 1})
+	gate := newGate(svc)
 	ref := New(Options{}).Analyze(context.Background(), treeAddReq())
 	if ref.Err != nil {
 		t.Fatal(ref.Err)

@@ -18,21 +18,6 @@ import (
 // stored back. Records are Space-free (analysis.ProcSeed), shared by
 // pointer, and treated as immutable by everyone.
 
-// SummaryStore is the bounded per-procedure summary cache behind an
-// interface so eviction/admission policies can be swept independently
-// (the LRU below is the baseline; see ROADMAP's caching-policy item).
-// Implementations must be safe for concurrent use.
-type SummaryStore interface {
-	// Get returns the record for a summary key, or false.
-	Get(key Fp) (*analysis.ProcSeed, bool)
-	// Put stores a record. bodyFp is the procedure's body fingerprint:
-	// stores track body→key so a re-Put of the same body under a new key
-	// (the body's callee cohort changed) invalidates the stale record.
-	Put(key Fp, bodyFp Fp, seed *analysis.ProcSeed)
-	// Stats snapshots the counters.
-	Stats() SummaryStoreStats
-}
-
 // SummaryStoreStats is the /stats block for the summary store.
 type SummaryStoreStats struct {
 	Entries  int    `json:"entries"`
@@ -47,15 +32,15 @@ type SummaryStoreStats struct {
 	Evictions     uint64 `json:"evictions"`
 }
 
-// lruSummaryStore is the baseline SummaryStore: a bounded LRU with a
-// body→key index for edit invalidation.
-type lruSummaryStore struct {
+// summaryStore is the bounded per-procedure summary cache: an LRU with a
+// body→key index for edit invalidation. Safe for concurrent use.
+type summaryStore struct {
 	mu       sync.Mutex
 	capacity int
 	lru      *list.List // front = most recent; values are *storeEntry
 	byKey    map[Fp]*list.Element
 	// byBody maps a procedure body fingerprint to the LAST summary key
-	// stored for it. A Put whose body maps to a different key means the
+	// stored for it. A put whose body maps to a different key means the
 	// procedure's reachable callees changed: the stale record can never
 	// be requested again by the evolving program, so it is dropped and
 	// counted as an invalidation. (Distinct programs sharing a body keep
@@ -73,10 +58,10 @@ type storeEntry struct {
 	size   int
 }
 
-// NewLRUSummaryStore builds the baseline store bounded to capacity
-// records (entries, not bytes; byte totals are reported for sizing).
-func NewLRUSummaryStore(capacity int) SummaryStore {
-	return &lruSummaryStore{
+// newSummaryStore builds a store bounded to capacity records (entries,
+// not bytes; byte totals are reported for sizing).
+func newSummaryStore(capacity int) *summaryStore {
+	return &summaryStore{
 		capacity: capacity,
 		lru:      list.New(),
 		byKey:    map[Fp]*list.Element{},
@@ -84,7 +69,8 @@ func NewLRUSummaryStore(capacity int) SummaryStore {
 	}
 }
 
-func (st *lruSummaryStore) Get(key Fp) (*analysis.ProcSeed, bool) {
+// get returns the record for a summary key, or false.
+func (st *summaryStore) get(key Fp) (*analysis.ProcSeed, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	el, ok := st.byKey[key]
@@ -97,7 +83,10 @@ func (st *lruSummaryStore) Get(key Fp) (*analysis.ProcSeed, bool) {
 	return el.Value.(*storeEntry).seed, true
 }
 
-func (st *lruSummaryStore) Put(key Fp, bodyFp Fp, seed *analysis.ProcSeed) {
+// put stores a record. bodyFp is the procedure's body fingerprint: the
+// store tracks body→key so a re-put of the same body under a new key (the
+// body's callee cohort changed) invalidates the stale record.
+func (st *summaryStore) put(key Fp, bodyFp Fp, seed *analysis.ProcSeed) {
 	size := seed.SizeBytes() // outside the lock: walks the whole record
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -125,7 +114,7 @@ func (st *lruSummaryStore) Put(key Fp, bodyFp Fp, seed *analysis.ProcSeed) {
 	}
 }
 
-func (st *lruSummaryStore) removeLocked(el *list.Element) {
+func (st *summaryStore) removeLocked(el *list.Element) {
 	e := el.Value.(*storeEntry)
 	st.lru.Remove(el)
 	delete(st.byKey, e.key)
@@ -135,7 +124,8 @@ func (st *lruSummaryStore) removeLocked(el *list.Element) {
 	st.bytes -= int64(e.size)
 }
 
-func (st *lruSummaryStore) Stats() SummaryStoreStats {
+// stats snapshots the counters.
+func (st *summaryStore) stats() SummaryStoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return SummaryStoreStats{

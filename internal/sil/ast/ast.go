@@ -78,6 +78,49 @@ func (p *Program) Proc(name string) *ProcDecl {
 	return nil
 }
 
+// Callees returns the static call graph of a normalized program: for each
+// declaration, the distinct names it calls — call statements plus function
+// calls on an assignment's right-hand side — in first-occurrence order,
+// keeping only procedures the program declares. SIL has no indirect calls,
+// so this graph is exact.
+func Callees(prog *Program) map[string][]string {
+	out := make(map[string][]string, len(prog.Decls))
+	for _, d := range prog.Decls {
+		seen := map[string]bool{}
+		var walk func(s Stmt)
+		walk = func(s Stmt) {
+			name := ""
+			switch s := s.(type) {
+			case *Block:
+				for _, st := range s.Stmts {
+					walk(st)
+				}
+			case *Par:
+				for _, st := range s.Branches {
+					walk(st)
+				}
+			case *If:
+				walk(s.Then)
+				walk(s.Else)
+			case *While:
+				walk(s.Body)
+			case *CallStmt:
+				name = s.Name
+			case *Assign:
+				if c, ok := s.Rhs.(*CallExpr); ok {
+					name = c.Name
+				}
+			}
+			if name != "" && !seen[name] && prog.Proc(name) != nil {
+				seen[name] = true
+				out[d.Name] = append(out[d.Name], name)
+			}
+		}
+		walk(d.Body)
+	}
+	return out
+}
+
 // VarDecl declares one parameter or local.
 type VarDecl struct {
 	Name    string

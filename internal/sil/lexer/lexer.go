@@ -164,16 +164,3 @@ func (l *Lexer) Next() token.Token {
 	l.errs = append(l.errs, fmt.Errorf("%s: illegal character %q", pos, c))
 	return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
 }
-
-// All tokenizes the entire input, ending with the EOF token.
-func All(src string) ([]token.Token, []error) {
-	l := New(src)
-	var out []token.Token
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out, l.errs
-		}
-	}
-}

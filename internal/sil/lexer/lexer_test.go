@@ -6,8 +6,21 @@ import (
 	"repro/internal/sil/token"
 )
 
+// all tokenizes the entire input, ending with the EOF token.
+func all(src string) ([]token.Token, []error) {
+	l := New(src)
+	var out []token.Token
+	for {
+		t := l.Next()
+		out = append(out, t)
+		if t.Kind == token.EOF {
+			return out, l.Errors()
+		}
+	}
+}
+
 func kinds(src string) []token.Kind {
-	toks, _ := All(src)
+	toks, _ := all(src)
 	out := make([]token.Kind, len(toks))
 	for i, t := range toks {
 		out[i] = t.Kind
@@ -44,7 +57,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestKeywordsAndIdents(t *testing.T) {
-	toks, errs := All("program if then else while do begin end nil new int handle myVar x1")
+	toks, errs := all("program if then else while do begin end nil new int handle myVar x1")
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -64,7 +77,7 @@ func TestKeywordsAndIdents(t *testing.T) {
 }
 
 func TestComments(t *testing.T) {
-	toks, errs := All("a { this is a comment } := { another } 5")
+	toks, errs := all("a { this is a comment } := { another } 5")
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -77,14 +90,14 @@ func TestComments(t *testing.T) {
 }
 
 func TestUnterminatedComment(t *testing.T) {
-	_, errs := All("a := { oops")
+	_, errs := all("a := { oops")
 	if len(errs) == 0 {
 		t.Error("unterminated comment should error")
 	}
 }
 
 func TestIllegalChar(t *testing.T) {
-	toks, errs := All("a # b")
+	toks, errs := all("a # b")
 	if len(errs) == 0 {
 		t.Error("expected error for #")
 	}
@@ -94,7 +107,7 @@ func TestIllegalChar(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := All("a\n  b")
+	toks, _ := all("a\n  b")
 	if toks[0].Pos != (token.Pos{Line: 1, Col: 1}) {
 		t.Errorf("a at %v", toks[0].Pos)
 	}
@@ -104,14 +117,14 @@ func TestPositions(t *testing.T) {
 }
 
 func TestSingleBarIsIllegal(t *testing.T) {
-	_, errs := All("a | b")
+	_, errs := all("a | b")
 	if len(errs) == 0 {
 		t.Error("single | should be illegal")
 	}
 }
 
 func TestNumbers(t *testing.T) {
-	toks, _ := All("042 7")
+	toks, _ := all("042 7")
 	if toks[0].Lit != "042" || toks[1].Lit != "7" {
 		t.Errorf("number literals: %q %q", toks[0].Lit, toks[1].Lit)
 	}

@@ -13,24 +13,28 @@ import (
 	"repro/internal/sil/token"
 )
 
+// maxNesting caps how deeply statements (begin, if, while, ||) and
+// expressions (parentheses, call arguments, not, unary minus) may nest.
+// The parser and every later pass recurse once per level, so without a
+// cap a source of a few megabytes of "(" exhausts the goroutine stack —
+// a fatal error no recover can catch. Exceeding the cap is an ordinary
+// parse error.
+const maxNesting = 1000
+
 // Parse parses a complete SIL program.
 func Parse(src string) (*ast.Program, error) {
-	toks, lerrs := lexer.All(src)
-	if len(lerrs) > 0 {
-		return nil, lerrs[0]
+	p := newParser(src)
+	prog, err := p.parseProgram()
+	if lerr := p.lexErr(); lerr != nil {
+		return nil, lerr
 	}
-	p := &parser{toks: toks}
-	return p.parseProgram()
+	return prog, err
 }
 
 // ParseStmts parses a bare statement list (test and REPL convenience):
 // the input is wrapped as the body of an implicit block.
 func ParseStmts(src string) ([]ast.Stmt, error) {
-	toks, lerrs := lexer.All(src)
-	if len(lerrs) > 0 {
-		return nil, lerrs[0]
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	var err error
 	var stmts []ast.Stmt
 	func() {
@@ -42,15 +46,48 @@ func ParseStmts(src string) ([]ast.Stmt, error) {
 			}
 		}
 	}()
+	if lerr := p.lexErr(); lerr != nil {
+		return nil, lerr
+	}
 	if err != nil {
 		return nil, err
 	}
 	return stmts, nil
 }
 
+// parser pulls tokens from the lexer one at a time (the grammar needs a
+// single token of lookahead), so no token buffer grows with the input.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lex   *lexer.Lexer
+	cur   token.Token
+	depth int // current nesting level, bounded by maxNesting
+}
+
+func newParser(src string) *parser {
+	l := lexer.New(src)
+	return &parser{lex: l, cur: l.Next()}
+}
+
+// lexErr scans whatever input the parse left unread and returns the first
+// lexical error in the whole source: a lexical error takes precedence
+// over any parse error.
+func (p *parser) lexErr() error {
+	for p.cur.Kind != token.EOF {
+		p.cur = p.lex.Next()
+	}
+	if errs := p.lex.Errors(); len(errs) > 0 {
+		return errs[0]
+	}
+	return nil
+}
+
+// nest enters one nesting level at pos; the caller leaves it with
+// p.depth-- once the nested construct is parsed.
+func (p *parser) nest(pos token.Pos) {
+	p.depth++
+	if p.depth > maxNesting {
+		p.errorf(pos, "nesting deeper than %d levels", maxNesting)
+	}
 }
 
 type parseError struct{ err error }
@@ -69,12 +106,12 @@ func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 	panic(parseError{fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))})
 }
 
-func (p *parser) tok() token.Token { return p.toks[p.pos] }
+func (p *parser) tok() token.Token { return p.cur }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.cur
 	if t.Kind != token.EOF {
-		p.pos++
+		p.cur = p.lex.Next()
 	}
 	return t
 }
@@ -218,6 +255,8 @@ func (p *parser) parseStmt() ast.Stmt {
 
 func (p *parser) parseBaseStmt() ast.Stmt {
 	t := p.tok()
+	p.nest(t.Pos)
+	defer func() { p.depth-- }()
 	switch t.Kind {
 	case token.BEGIN:
 		return p.parseBlock()
@@ -301,7 +340,12 @@ func (p *parser) parseArgs() []ast.Expr {
 
 // Expression grammar, loosest to tightest:
 // or | and | not | comparison | additive | multiplicative | unary | primary.
-func (p *parser) parseExpr() ast.Expr { return p.parseOr() }
+func (p *parser) parseExpr() ast.Expr {
+	p.nest(p.tok().Pos)
+	x := p.parseOr()
+	p.depth--
+	return x
+}
 
 func (p *parser) parseOr() ast.Expr {
 	x := p.parseAnd()
@@ -324,7 +368,10 @@ func (p *parser) parseAnd() ast.Expr {
 func (p *parser) parseNot() ast.Expr {
 	if t := p.tok(); t.Kind == token.NOT {
 		p.next()
-		return &ast.Unary{Op: ast.Not, X: p.parseNot(), OpPos: t.Pos}
+		p.nest(t.Pos)
+		x := p.parseNot()
+		p.depth--
+		return &ast.Unary{Op: ast.Not, X: x, OpPos: t.Pos}
 	}
 	return p.parseComparison()
 }
@@ -378,7 +425,10 @@ func (p *parser) parseMultiplicative() ast.Expr {
 func (p *parser) parseUnary() ast.Expr {
 	if t := p.tok(); t.Kind == token.MINUS {
 		p.next()
-		return &ast.Unary{Op: ast.Neg, X: p.parseUnary(), OpPos: t.Pos}
+		p.nest(t.Pos)
+		x := p.parseUnary()
+		p.depth--
+		return &ast.Unary{Op: ast.Neg, X: x, OpPos: t.Pos}
 	}
 	return p.parsePrimary()
 }

@@ -235,6 +235,53 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNestingCap: every nesting form parses up to the cap and fails with
+// an ordinary parse error past it, instead of recursing until the stack
+// overflows.
+func TestNestingCap(t *testing.T) {
+	forms := []struct {
+		name string
+		stmt func(n int) string
+	}{
+		{"parens", func(n int) string { return "x := " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) }},
+		{"call args", func(n int) string { return "x := " + strings.Repeat("f(", n) + "1" + strings.Repeat(")", n) }},
+		{"not", func(n int) string { return "if " + strings.Repeat("not ", n) + "b then x := 1" }},
+		{"unary minus", func(n int) string { return "x := " + strings.Repeat("-", n) + "1" }},
+		{"begin", func(n int) string { return strings.Repeat("begin ", n) + "x := 1" + strings.Repeat(" end", n) }},
+		{"if", func(n int) string { return strings.Repeat("if b then ", n) + "x := 1" }},
+		{"while", func(n int) string { return strings.Repeat("while b do ", n) + "x := 1" }},
+	}
+	prog := func(stmt string) string {
+		return "program deep\nprocedure main()\n  x: int; b: int\nbegin\n  " + stmt + "\nend;\n"
+	}
+	for _, f := range forms {
+		if _, err := Parse(prog(f.stmt(maxNesting - 10))); err != nil {
+			t.Errorf("%s: nesting %d must parse: %v", f.name, maxNesting-10, err)
+		}
+		_, err := Parse(prog(f.stmt(maxNesting + 1)))
+		if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("%s: nesting %d: got %v, want a nesting parse error", f.name, maxNesting+1, err)
+		}
+		if _, err := ParseStmts(f.stmt(maxNesting + 1)); err == nil {
+			t.Errorf("%s: ParseStmts must apply the same cap", f.name)
+		}
+	}
+	// Depth is a nesting level, not a count: many shallow siblings parse.
+	siblings := strings.Repeat("x := ((1)); ", 3*maxNesting) + "x := 1"
+	if _, err := Parse(prog(siblings)); err != nil {
+		t.Errorf("%d sibling statements: %v", 3*maxNesting, err)
+	}
+}
+
+// TestLexErrorWinsOverParseError: the streaming parser still reports the
+// first lexical error anywhere in the source, even past a parse error.
+func TestLexErrorWinsOverParseError(t *testing.T) {
+	_, err := Parse("program p garbage\nprocedure main() begin x := 1 # end;")
+	if err == nil || !strings.Contains(err.Error(), "illegal character") {
+		t.Fatalf("got %v, want the lexical error", err)
+	}
+}
+
 func TestRoundTripFig7(t *testing.T) {
 	prog, err := Parse(addAndReverse)
 	if err != nil {
