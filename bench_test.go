@@ -421,52 +421,6 @@ func BenchmarkCorpusAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkCorpusAnalysisMerged — the same hot path with context-sensitive
-// summaries disabled (MaxContexts < 0): the pre-context behavior the
-// regression gate bounds at <15% vs the seed, and the reference point for
-// the context-table overhead.
-func BenchmarkCorpusAnalysisMerged(b *testing.B) {
-	for _, e := range progs.Catalog {
-		e := e
-		prog, err := progs.Compile(e.Source)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(e.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				info, err := analysis.Analyze(context.Background(), prog, analysis.Options{ExternalRoots: e.Roots, MaxContexts: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				par.Parallelize(info, par.DefaultOptions)
-			}
-		})
-	}
-}
-
-// BenchmarkCorpusAnalysisCap1 — the eviction-stressed configuration: a
-// context-table cap of 1 forces every second distinct context through the
-// evict-and-redirect path into the (then activated) merged fallback, the
-// worst case for the lazy-fallback machinery.
-func BenchmarkCorpusAnalysisCap1(b *testing.B) {
-	for _, e := range progs.Catalog {
-		e := e
-		prog, err := progs.Compile(e.Source)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(e.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				info, err := analysis.Analyze(context.Background(), prog, analysis.Options{ExternalRoots: e.Roots, MaxContexts: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				par.Parallelize(info, par.DefaultOptions)
-			}
-		})
-	}
-}
-
 // BenchmarkAnalysisWorkers — scaling of the concurrent interprocedural
 // fixpoint across worker-pool sizes on the Figure 7 program.
 func BenchmarkAnalysisWorkers(b *testing.B) {

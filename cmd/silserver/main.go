@@ -6,7 +6,7 @@
 // Usage:
 //
 //	silserver [-addr :8080] [-cache 256] [-summary-cap 4096] [-sessions 0]
-//	          [-ctx 0] [-reset-paths 1048576] [-workers 0]
+//	          [-reset-paths 1048576] [-workers 0]
 //	          [-timeout 60s] [-max-queue 256] [-budget-rounds 0]
 //	          [-budget-paths 0] [-grace 30s]
 //
@@ -49,7 +49,6 @@ func main() {
 	summaryCap := flag.Int("summary-cap", 0, "per-procedure summary-store capacity (records; 0 = default 4096, negative disables)")
 	sessions := flag.Int("sessions", 0, "session pool size / worker budget (0 = default)")
 	workers := flag.Int("workers", 0, "per-analysis worker pool size (0 = default; does not affect results)")
-	ctx := flag.Int("ctx", 0, "context-table cap: 0 = default, >0 = override, <0 = merged mode")
 	resetPaths := flag.Int("reset-paths", 1<<20, "per-session interned-path budget before an epoch reset (negative disables)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (0 disables); expired requests return 504")
 	maxQueue := flag.Int("max-queue", 0, "admission-queue bound beyond the session pool: 0 = default 256, negative = no queue; excess requests are shed with 429")
@@ -60,9 +59,8 @@ func main() {
 
 	svc := service.New(service.Options{
 		Analysis: analysis.Options{
-			Workers:     *workers,
-			MaxContexts: *ctx,
-			Budgets:     analysis.Budgets{MaxRounds: *budgetRounds, MaxInternedPaths: *budgetPaths},
+			Workers: *workers,
+			Budgets: analysis.Budgets{MaxRounds: *budgetRounds, MaxInternedPaths: *budgetPaths},
 		},
 		CacheCapacity:      *cache,
 		SummaryCapacity:    *summaryCap,
@@ -77,8 +75,8 @@ func main() {
 		Handler:           gate,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Printf("silserver listening on %s (cache=%d summary-cap=%d sessions=%d ctx=%d reset-paths=%d timeout=%s max-queue=%d budget-rounds=%d budget-paths=%d)",
-		*addr, *cache, *summaryCap, *sessions, *ctx, *resetPaths, *timeout, *maxQueue, *budgetRounds, *budgetPaths)
+	log.Printf("silserver listening on %s (cache=%d summary-cap=%d sessions=%d reset-paths=%d timeout=%s max-queue=%d budget-rounds=%d budget-paths=%d)",
+		*addr, *cache, *summaryCap, *sessions, *resetPaths, *timeout, *maxQueue, *budgetRounds, *budgetPaths)
 
 	// Graceful drain: on SIGTERM/SIGINT the gate starts refusing analyze
 	// requests (503 + Retry-After; healthz/stats/metrics stay up), the

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,15 +54,6 @@ type Options struct {
 	// bit-identical for every pool size. 0 picks a default from the
 	// machine.
 	Workers int
-	// MaxContexts bounds the per-procedure context table of the
-	// context-sensitive summaries (see context.go): each distinct call
-	// context, keyed by its entry-matrix fingerprint, gets its own
-	// entry→exit mapping; beyond the cap, least-recently-used contexts
-	// collapse into a merged widened fallback context, degrading gracefully
-	// to the paper's single-summary behavior. 0 picks DefaultMaxContexts;
-	// negative values disable context sensitivity entirely ("merged mode":
-	// every call context folds into the one fallback summary).
-	MaxContexts int
 	// ExternalRoots names main locals that the execution environment binds
 	// to externally built structures before main runs (the paper's
 	// "... build a tree at root ..." realized by a Setup function). They
@@ -89,12 +81,15 @@ type Options struct {
 	// Keying seeds correctly (procedure body + reachable callees + every
 	// option above) is the caller's job; internal/service does.
 	Seeds map[string]*ProcSeed
+
+	// mergedOnly binds every call to the callee's merged fallback — the
+	// paper's single-summary mode. Tests set it (export_test.go) as the
+	// coarse reference that context-sensitive results must stay within.
+	mergedOnly bool
 }
 
 // withDefaults fills the scalar knobs. It deliberately leaves Space alone:
-// the process-global fallback is bound in exactly one place (Analyze), so
-// reading ContextSensitive off an Options value never
-// materializes the global Space as a side effect.
+// the process-global fallback is bound in exactly one place (Analyze).
 func (o Options) withDefaults() Options {
 	if o.Limits == (path.Limits{}) {
 		o.Limits = path.DefaultLimits
@@ -114,15 +109,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.MaxContexts == 0 {
-		o.MaxContexts = DefaultMaxContexts
-	}
 	return o
 }
-
-// ContextSensitive reports whether Analyze will keep per-context summaries
-// for this Options value (the mode the rendered result document reports).
-func (o Options) ContextSensitive() bool { return o.withDefaults().MaxContexts > 0 }
 
 // Diagnostic is a structure-verification or safety finding.
 type Diagnostic struct {
@@ -136,10 +124,10 @@ func (d Diagnostic) String() string {
 }
 
 // Summary is the interprocedural abstraction of one procedure: the
-// context table (see context.go) mapping each distinct call context to its
-// own entry→exit pair, plus the per-procedure mod-ref classification,
-// which stays joined over every context (a parameter is an update argument
-// if ANY context may write through it). During the concurrent fixpoint, mu
+// context table (see context.go), one entry→exit pair per call site plus
+// the merged fallback for recursive calls, and the per-procedure mod-ref
+// classification, which stays joined over every context (a parameter is an
+// update argument if ANY context may write through it). During the concurrent fixpoint, mu
 // guards every mutable field; matrices are immutable once published, so
 // workers snapshot pointers under the lock and read them lock-free. After
 // Analyze returns, summaries are quiescent and may be read directly.
@@ -165,26 +153,13 @@ type Summary struct {
 	// to parameter positions.
 	HandleParamIdx []int
 
-	// The context table (context.go): exact contexts keyed by entry
-	// fingerprint in an LRU bounded by maxContexts, a lazily created —
-	// and lazily ANALYZED — merged fallback context, and the
-	// evicted-fingerprint redirect set.
-	maxContexts int
-	contexts    map[matrix.Fp][]*ProcContext
-	lru         []*ProcContext
-	merged      *ProcContext
-	evicted     map[matrix.Fp]bool
-	evictions   int
-	// shared maps presented-entry fingerprints to shared-exit aliases:
-	// entries bound to a converged context's exit instead of a context of
-	// their own (context.go). Cleared whenever the mod-ref bits sharpen.
-	shared map[matrix.Fp][]sharedBinding
-	// fbActivations / fbAnalyses count merged-fallback activations and the
-	// fixpoint analyses the activated fallback consumed; exitsShared
-	// counts live shared-exit aliases. Barrier-only mutation.
-	fbActivations int
-	fbAnalyses    int
-	exitsShared   int
+	// The context table (context.go): live exact contexts in creation
+	// order, and the merged fallback, created at the first same-SCC
+	// presentation.
+	exact  []*ProcContext
+	merged *ProcContext
+	// fbAnalyses counts the fixpoint analyses of the merged fallback.
+	fbAnalyses int
 	// mergedMemo memoizes entries proven to fold into the fallback without
 	// growing it (fingerprint-keyed, structural fallback on collision).
 	mergedMemo  map[matrix.Fp][]*matrix.Matrix
@@ -241,7 +216,13 @@ type Info struct {
 	SeedsFellBack bool
 
 	stmtProc map[ast.Stmt]string
-	seeded   []seededProc
+	seeded   []*seededProc
+	// sites maps every call node of Prog to its call site (context.go);
+	// read-only once Analyze returns, so Replay resolves by site too.
+	sites map[ast.Node]*callSite
+	// sitesHeld reports that the recording pass bound every call it met,
+	// consistently with the presentations (a seed-check input).
+	sitesHeld bool
 }
 
 // ProcOf returns the name of the procedure containing the statement.
@@ -312,9 +293,8 @@ func (in *Info) DiagStrings() []string {
 // where the order in which joins meet the widening changes which (equally
 // sound) fixpoint the merged summaries land on.
 //
-// Work items are born on demand (context.go): exact contexts when a caller
-// presents a new entry, the merged fallback only when a consumer appears —
-// a same-SCC call, an eviction redirect, or the drain barrier below.
+// Work items are born on demand (context.go): an exact context when a call
+// site's entry needs one, the merged fallback at the first same-SCC call.
 // Dependencies are context-granular (engine.ctxDeps), so a caller bound to
 // an exact context is not re-run by the fallback's widening ladder, and
 // exact items of a recursive SCC are parked while that ladder converges
@@ -322,8 +302,7 @@ func (in *Info) DiagStrings() []string {
 // state only, so the bit-identical-across-workers property is preserved.
 //
 // Diagnostics and the Before/After matrices are collected afterwards by a
-// sequential closure pass over the context bindings reachable from main;
-// contexts only visited by transient fixpoint states are pruned.
+// sequential closure pass over the context bindings reachable from main.
 //
 // ctx and opts.Budgets bound the run (budget.go): both are checked at
 // round barriers and between recording-pass items, returning ErrCanceled /
@@ -381,59 +360,49 @@ func analyzeOnce(ctx context.Context, prog *ast.Program, main *ast.ProcDecl, opt
 		After:     map[ast.Stmt]*matrix.Matrix{},
 		Summaries: map[string]*Summary{},
 		stmtProc:  map[ast.Stmt]string{},
+		sites:     registerSites(prog),
 	})
+	eng.budget *= len(eng.info.sites) + 1
 	for _, d := range prog.Decls {
 		walkStmts(d.Body, func(s ast.Stmt) { eng.info.stmtProc[s] = d.Name })
 	}
 	eng.info.seeded = importSeeds(eng, opts.Seeds)
 	eng.info.SeededProcs = len(eng.info.seeded)
-	mainSum := eng.summaryFor(main)
-	lk := mainSum.contextFor(entryForMain(main, opts), opts.Limits, false, false)
-	eng.rootCtx = lk.ctx
-	work := make([]item, 0, len(lk.analyze))
-	for _, c := range lk.analyze {
-		work = append(work, item{"main", c})
+	var work []item
+	rootCtx, isNew := eng.summaryFor(main).rootContext(entryForMain(main, opts), opts)
+	eng.rootCtx = rootCtx
+	if isNew {
+		work = append(work, item{"main", rootCtx})
 	}
-	for {
-		for len(work) > 0 {
-			// Barrier interrupt point: cancellation and work budgets are
-			// only observed here, between rounds, so an interrupted run
-			// never exposes scheduling-dependent partial state.
-			if err := eng.checkInterrupt(); err != nil {
-				return nil, err
-			}
-			if err := eng.checkRoundBudget(); err != nil {
-				return nil, err
-			}
-			eng.steps += len(work)
-			if eng.steps > eng.budget {
-				return nil, fmt.Errorf("analysis: fixpoint did not converge in %d item analyses", eng.budget)
-			}
-			for _, it := range work {
-				if it.ctx.merged {
-					eng.summary(it.name).noteFallbackAnalysis()
-				}
-			}
-			stages := eng.runRound(work)
-			eng.rounds++
-			work = eng.applyRound(work, stages)
+	for len(work) > 0 {
+		// Barrier interrupt point: cancellation and work budgets are only
+		// observed here, between rounds, so an interrupted run never
+		// exposes scheduling-dependent partial state.
+		if err := eng.checkInterrupt(); err != nil {
+			return nil, err
 		}
-		// Drain barrier: fallbacks whose entry accumulated two or more
-		// distinct contexts but that never found a consumer activate now,
-		// from already-converged callee exits — a few residual passes that
-		// keep the fallback exit a sound, materialized stand-in for Replay
-		// without a seat in every widening round.
-		work = eng.activateDormantFallbacks()
-		if len(work) == 0 {
-			break
+		if err := eng.checkRoundBudget(); err != nil {
+			return nil, err
 		}
+		eng.steps += len(work)
+		if eng.steps > eng.budget {
+			return nil, fmt.Errorf("analysis: fixpoint did not converge in %d item analyses", eng.budget)
+		}
+		for _, it := range work {
+			if it.ctx.merged {
+				eng.summary(it.name).noteFallbackAnalysis()
+			}
+		}
+		stages := eng.runRound(work)
+		eng.rounds++
+		work = eng.applyRound(work, stages)
 	}
 	eng.info.FixpointSteps = eng.steps
 	// Final sequential recording pass: a breadth-first closure over the
 	// (procedure, context) bindings reachable from main's root context.
 	// Each reached item is replayed once; record() merges the matrices of
-	// a procedure's contexts pointwise, and the call resolution is
-	// read-only (lookupContext), so the pass cannot perturb the fixpoint.
+	// a procedure's contexts pointwise, and calls resolve by site, so the
+	// pass cannot perturb the fixpoint.
 	rec := &analyzer{eng: eng, recording: true}
 	recorded := map[item]bool{}
 	queue := []item{{"main", eng.rootCtx}}
@@ -456,19 +425,7 @@ func analyzeOnce(ctx context.Context, prog *ast.Program, main *ast.ProcDecl, opt
 		recorded[it] = true
 		rec.reanalyze(it)
 	}
-	// Prune contexts the converged program does not bind (visited only by
-	// transient fixpoint states — their membership depends on worker
-	// scheduling, so they must not leak into the reported result).
-	live := map[string]map[*ProcContext]bool{}
-	for it := range recorded {
-		if live[it.name] == nil {
-			live[it.name] = map[*ProcContext]bool{}
-		}
-		live[it.name][it.ctx] = true
-	}
-	for name, sum := range eng.info.Summaries {
-		sum.pruneContexts(live[name])
-	}
+	eng.info.sitesHeld = eng.replayedSitesHeld()
 	return eng.info, nil
 }
 
@@ -500,9 +457,8 @@ type engine struct {
 	// at round barriers.
 	procDeps map[string]map[item]bool
 	// ctxDeps maps one callee CONTEXT to the caller items bound to it —
-	// the exit-granular dependency edge: a context's exit growth (or its
-	// eviction) re-runs only the callers that actually consume that
-	// context, so a caller bound to an exact context is insulated from the
+	// the exit-granular dependency edge: a context's exit growth re-runs
+	// only the callers that actually consume that context, so a caller bound to an exact context is insulated from the
 	// fallback's widening ladder. Registrations persist (a stale edge
 	// costs a spurious re-run, never a missed one). Barrier-only mutation.
 	ctxDeps map[*ProcContext]map[item]bool
@@ -534,16 +490,27 @@ type engine struct {
 	// once, read-only afterwards): calls within one SCC — self or mutual
 	// recursion — bind the merged fallback context (see context.go).
 	scc map[string]int
+	// presented maps each caller item to the call sites its latest run
+	// presented at, so a re-run or a departure can withdraw the rest.
+	// Barrier-only mutation.
+	presented map[item][]*callSite
+	// replayed lists the sites the recording pass bound itself, and
+	// unresolved reports a recording-pass call it could not bind; both
+	// feed the seed check (seedsHeld).
+	replayed   []*callSite
+	unresolved bool
 }
 
 // stagedEntry is one call-site context presentation, applied at the round
-// barrier.
+// barrier. site is nil for a recursive (fallback-bound) presentation; seen
+// is the context the presentation resolved to in-round.
 type stagedEntry struct {
-	callee    string
-	ent       *matrix.Matrix
-	recursive bool
-	caller    item
-	key       string // canonical content key, filled at the barrier
+	site   *callSite
+	callee string
+	ent    *matrix.Matrix
+	caller item
+	seen   *ProcContext
+	key    string // canonical content key of a recursive entry, filled at the barrier
 }
 
 // stagedUpdates collects everything one item's in-round analysis wants to
@@ -602,74 +569,103 @@ func (e *engine) runRound(work []item) []*stagedUpdates {
 
 // applyRound applies the staged updates of one round sequentially and
 // returns the next round's work list. Every ordering here is canonical
-// (content-sorted entries, work-order exits, context sequence numbers), so
-// the resulting state — and therefore the whole fixpoint — does not depend
-// on how many workers ran the round.
+// (site pre-order, content-sorted recursive entries, work-order exits,
+// context sequence numbers), so the resulting state — and therefore the
+// whole fixpoint — does not depend on how many workers ran the round.
 func (e *engine) applyRound(work []item, stages []*stagedUpdates) []item {
 	lim := e.opts.Limits
 	dirty := map[item]bool{}
 	dirtyProcs := map[string]bool{}
 
-	// 1. Register caller dependencies, then apply context presentations in
-	// canonical order: sorted by callee, binding kind, and the entry's
-	// content rendering (fingerprints would not do — they incorporate
-	// intern IDs, which depend on process history).
-	var reqs []stagedEntry
-	for _, st := range stages {
-		for _, se := range st.entries {
-			e.addProcDep(se.callee, se.caller)
-			se.key = e.canonicalKeyCached(se.ent)
-			reqs = append(reqs, se)
+	// 1. Record each item's latest presentation per site (joined within the
+	// item: a call inside a while loop presents once per iteration),
+	// withdraw it from the sites its run no longer reached, and rebind the
+	// touched sites.
+	var recs, siteReqs []stagedEntry
+	var touched []*callSite
+	touch := func(cs *callSite) {
+		if !cs.touched {
+			cs.touched = true
+			touched = append(touched, cs)
 		}
 	}
-	sort.SliceStable(reqs, func(i, j int) bool {
-		if reqs[i].callee != reqs[j].callee {
-			return reqs[i].callee < reqs[j].callee
-		}
-		if reqs[i].recursive != reqs[j].recursive {
-			return !reqs[i].recursive
-		}
-		return reqs[i].key < reqs[j].key
-	})
-	// Aliases created at THIS barrier, keyed by callee and entry
-	// fingerprint: every presenter of such an entry — not just the one
-	// whose presentation created the alias — resolved it to bottom
-	// in-round, and the donor's already-converged exit will never fire a
-	// dependency, so all of them must re-run.
-	newAliases := map[string]map[matrix.Fp]bool{}
-	for _, se := range reqs {
-		sum := e.summary(se.callee)
-		lk := sum.contextFor(se.ent, lim, se.recursive, !se.caller.ctx.merged)
-		e.addCtxDep(lk.ctx, se.caller)
-		for _, c := range lk.analyze {
-			dirty[item{se.callee, c}] = true
-		}
-		if lk.sharedNew {
-			if newAliases[se.callee] == nil {
-				newAliases[se.callee] = map[matrix.Fp]bool{}
+	ran := make(map[item]bool, len(work))
+	for i, st := range stages {
+		it := work[i]
+		ran[it] = true
+		var sites []*callSite
+		for _, se := range st.entries {
+			e.addProcDep(se.callee, it)
+			if se.site == nil {
+				se.key = e.canonicalKeyCached(se.ent)
+				recs = append(recs, se)
+				continue
 			}
-			newAliases[se.callee][se.ent.Fingerprint()] = true
+			siteReqs = append(siteReqs, se)
+			if slices.Contains(sites, se.site) {
+				j := se.site.presentation(it).Merge(se.ent)
+				j.Widen(lim)
+				se.site.setPresentation(it, j)
+				continue
+			}
+			sites = append(sites, se.site)
+			se.site.setPresentation(it, se.ent)
+			touch(se.site)
 		}
-		if newAliases[se.callee][se.ent.Fingerprint()] {
-			// The caller resolved this entry to bottom in-round; it now
-			// has a converged donor exit to pick up.
-			dirty[se.caller] = true
+		for _, cs := range e.presented[it] {
+			if !slices.Contains(sites, cs) && cs.withdraw(it) {
+				touch(cs)
+			}
 		}
-		if lk.evicted != nil {
-			// Only the items actually bound to the victim must rebind (to
-			// the now-active fallback).
-			for dep := range e.ctxDeps[lk.evicted] {
-				dirty[dep] = true
+		e.presented[it] = sites
+	}
+	// Rebind in site order; a context that leaves the table withdraws its
+	// own presentations, which may touch further sites.
+	for len(touched) > 0 {
+		batch := touched
+		touched = nil
+		sort.Slice(batch, func(i, j int) bool { return batch[i].idx < batch[j].idx })
+		for _, cs := range batch {
+			cs.touched = false
+			e.rebind(cs, ran, dirty, touch)
+		}
+	}
+	// A presenter re-runs when its site now binds a context it did not see
+	// in-round — unless that context is still bottom: then its first exit
+	// fires the ctxDeps edge instead.
+	for _, se := range siteReqs {
+		if c := se.site.ctx; c != nil && !se.caller.ctx.dropped {
+			e.addCtxDep(c, se.caller)
+			if c != se.seen && c.exit != nil {
+				dirty[se.caller] = true
 			}
 		}
 	}
 
-	// 2. Apply exit projections (one item owns one context, so these are
+	// 2. Recursive presentations bind the merged fallback, in canonical
+	// order: sorted by callee and the entry's content rendering
+	// (fingerprints would not do — they incorporate intern IDs, which
+	// depend on process history).
+	sort.SliceStable(recs, func(i, j int) bool {
+		if recs[i].callee != recs[j].callee {
+			return recs[i].callee < recs[j].callee
+		}
+		return recs[i].key < recs[j].key
+	})
+	for _, se := range recs {
+		fb, grew := e.summary(se.callee).bindFallback(se.ent, lim, !se.caller.ctx.merged)
+		e.addCtxDep(fb, se.caller)
+		if grew {
+			dirty[item{se.callee, fb}] = true
+		}
+	}
+
+	// 3. Apply exit projections (one item owns one context, so these are
 	// pairwise independent). An exit change re-runs exactly the items
 	// bound to that context — context-granular, so exact-context callers
 	// never chase the fallback's widening ladder.
 	for i, st := range stages {
-		if st.exit == nil {
+		if st.exit == nil || work[i].ctx.dropped {
 			continue
 		}
 		it := work[i]
@@ -680,7 +676,7 @@ func (e *engine) applyRound(work []item, stages []*stagedUpdates) []item {
 		}
 	}
 
-	// 3. Apply mod-ref flags (monotone booleans; order-free). Mod-ref
+	// 4. Apply mod-ref flags (monotone booleans; order-free). Mod-ref
 	// stays per-procedure, so a change re-runs every registered caller.
 	for i, st := range stages {
 		if e.summary(work[i].name).applyModref(st) {
@@ -712,6 +708,67 @@ func (e *engine) applyRound(work []item, stages []*stagedUpdates) []item {
 		return next[i].ctx.seq < next[j].ctx.seq
 	})
 	return e.deferBehindFallbacks(next)
+}
+
+// rebind recomputes a touched site's entry and binds it in the order of
+// context.go: the context it binds if the entry is unchanged, else a live
+// context with that entry, else its own context grown in place, else a new
+// one. Contexts needing analysis go into dirty, and so do presenters that
+// did not run this round (ran) when the site moves to a context with an
+// exit; a context no site binds any more leaves the table and withdraws
+// its own presentations (touch).
+func (e *engine) rebind(cs *callSite, ran, dirty map[item]bool, touch func(*callSite)) {
+	lim := e.opts.Limits
+	sum := e.summary(cs.callee)
+	old := cs.ctx
+	ent := cs.entry(lim)
+	var c *ProcContext
+	switch {
+	case ent == nil:
+		// No presenter left: the site binds nothing.
+	case old != nil && old.entry.Equal(ent):
+		return
+	default:
+		if c = sum.findExact(ent); c == nil {
+			fbGrew := false
+			if old != nil && old.sites == 1 && !old.seeded {
+				c = old
+				fbGrew = sum.regrow(c, ent, lim)
+			} else {
+				c, fbGrew = sum.newContext(ent, lim)
+			}
+			dirty[item{cs.callee, c}] = true
+			if fbGrew {
+				dirty[item{cs.callee, sum.fallback()}] = true
+			}
+		}
+	}
+	if c == old {
+		return
+	}
+	cs.ctx = c
+	if c != nil {
+		c.sites++
+		for _, p := range cs.pres {
+			e.addCtxDep(c, p.caller)
+			if c.exit != nil && !ran[p.caller] {
+				dirty[p.caller] = true
+			}
+		}
+	}
+	if old == nil {
+		return
+	}
+	if old.sites--; old.sites == 0 {
+		sum.dropContext(old)
+		it := item{cs.callee, old}
+		for _, o := range e.presented[it] {
+			if o.withdraw(it) {
+				touch(o)
+			}
+		}
+		delete(e.presented, it)
+	}
 }
 
 // deferBehindFallbacks parks exact-context items whose procedure's SCC has
@@ -811,29 +868,27 @@ func callGraphSCC(prog *ast.Program) map[string]int {
 func newEngine(ctx context.Context, prog *ast.Program, opts Options, info *Info) *engine {
 	msp := opts.Space // non-nil: every caller passes Analyze-defaulted Options
 	e := &engine{
-		prog:     prog,
-		opts:     opts,
-		info:     info,
-		msp:      msp,
-		psp:      msp.Paths(),
-		ctx:      background(ctx),
-		procDeps: map[string]map[item]bool{},
-		ctxDeps:  map[*ProcContext]map[item]bool{},
-		deferred: map[item]bool{},
-		diagSet:  map[string]bool{},
-		keyCache: map[matrix.Fp][]keyEntry{},
+		prog:      prog,
+		opts:      opts,
+		info:      info,
+		msp:       msp,
+		psp:       msp.Paths(),
+		ctx:       background(ctx),
+		procDeps:  map[string]map[item]bool{},
+		ctxDeps:   map[*ProcContext]map[item]bool{},
+		deferred:  map[item]bool{},
+		diagSet:   map[string]bool{},
+		keyCache:  map[matrix.Fp][]keyEntry{},
+		presented: map[item][]*callSite{},
 	}
 	e.internBase = e.psp.InternedCount()
 	if prog != nil {
 		e.scc = callGraphSCC(prog)
 	}
-	// The budget caps total item analyses as a non-convergence backstop.
-	// Context-sensitive runs multiply the item count by the live contexts
-	// per procedure, so it scales with the table cap.
+	// The budget caps total item analyses as a non-convergence backstop;
+	// analyzeOnce scales it by the program's call sites + 1, which bound
+	// the live contexts per procedure.
 	e.budget = opts.MaxWorklist * 8
-	if opts.MaxContexts > 0 {
-		e.budget *= opts.MaxContexts + 1
-	}
 	return e
 }
 
@@ -901,7 +956,6 @@ func (e *engine) summaryFor(d *ast.ProcDecl) *Summary {
 			LinkParams:     make([]bool, len(d.Params)),
 			AttachesParams: make([]bool, len(d.Params)),
 			HandleParamIdx: handleParams(d),
-			maxContexts:    e.opts.MaxContexts,
 		}
 		e.info.Summaries[d.Name] = s
 	}
@@ -927,25 +981,6 @@ func (e *engine) addCtxDep(ctx *ProcContext, it item) {
 		e.ctxDeps[ctx] = map[item]bool{}
 	}
 	e.ctxDeps[ctx][it] = true
-}
-
-// activateDormantFallbacks runs the drain barrier (see Analyze): every
-// summary with two or more table entries and a dormant fallback activates
-// it, and the activated fallbacks come back as the continuation work list
-// in canonical name order.
-func (e *engine) activateDormantFallbacks() []item {
-	names := make([]string, 0, len(e.info.Summaries))
-	for name := range e.info.Summaries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var work []item
-	for _, name := range names {
-		if s := e.info.Summaries[name]; s.activateDormantFallback() {
-			work = append(work, item{name, s.merged})
-		}
-	}
-	return work
 }
 
 // analyzer is the per-worker view of an engine: the work item currently
@@ -1202,7 +1237,7 @@ func (a *analyzer) stmt(m *matrix.Matrix, s ast.Stmt) *matrix.Matrix {
 	case *ast.While:
 		out = a.while(m, s)
 	case *ast.CallStmt:
-		out = a.call(m, s.Name, s.Args, nil, s.Pos())
+		out = a.call(m, s, s.Name, s.Args, nil)
 	case *ast.Assign:
 		out = a.assign(m, s)
 	default:

@@ -7,7 +7,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/path"
 	"repro/internal/sil/ast"
-	"repro/internal/sil/token"
 )
 
 // This file implements the interprocedural analysis of §5.2 / Figure 7.
@@ -23,19 +22,15 @@ import (
 //	            outer recursive invocations: the caller's own h*i and h**i
 //	            fold into the callee's h**i.
 //
-// Summaries are per-procedure context tables (context.go): each distinct
-// entry matrix gets its own exit, so a call on a fresh tree is not polluted
-// by a call on aliased roots (the paper's single pB "summarizes all
-// possible relationships … for the recursive calls of add_n" — the merged
-// fallback context reproduces exactly that view). Call-site binding is
-// demand-driven: a non-recursive call binds an exact context (or a
-// shared-exit alias when a converged context's entry covers this one and
-// mod-ref proves the body cannot tell them apart), while same-SCC calls
-// and evicted-fingerprint redirects bind — and thereby activate — the
-// merged fallback; a fallback nobody binds is never analyzed. In fixpoint
-// mode the binding resolves against the frozen table (resolveFrozen) and
-// the presentation is staged for the barrier; the recording pass and
-// Replay resolve read-only (lookupContext). The round-based engine
+// Summaries are per-procedure context tables (context.go) with one context
+// per call site: a call on a fresh tree is not polluted by a call on
+// aliased roots elsewhere in the program (the paper's single pB
+// "summarizes all possible relationships … for the recursive calls of
+// add_n" — the merged fallback context reproduces exactly that view, and
+// same-SCC calls bind it). In fixpoint mode a call resolves against the
+// frozen table (callSite.resolveFrozen) and the presentation is staged for
+// the barrier, which rebinds the site; the recording pass and Replay
+// resolve by site, read-only (resolveRecorded). The round-based engine
 // (analysis.go) iterates (procedure, context) items until entries, exits
 // and mod-ref bits stabilize; mod-ref stays per-procedure, joined over
 // contexts.
@@ -65,10 +60,11 @@ func symIndex(h matrix.Handle) (idx int, stacked, ok bool) {
 	return n, stacked, true
 }
 
-// call analyzes one call statement or call expression. dst, when non-nil,
-// receives a handle-typed function result. Returns nil (bottom) while the
-// callee has no computed exit yet (first iterations of recursion).
-func (a *analyzer) call(m *matrix.Matrix, name string, args []ast.Expr, dst *matrix.Handle, pos token.Pos) *matrix.Matrix {
+// call analyzes one call statement or call expression; node is the call's
+// AST node, which keys its call site. dst, when non-nil, receives a
+// handle-typed function result. Returns nil (bottom) while the callee has
+// no computed exit yet (first iterations of recursion).
+func (a *analyzer) call(m *matrix.Matrix, node ast.Node, name string, args []ast.Expr, dst *matrix.Handle) *matrix.Matrix {
 	callee := a.eng.prog.Proc(name)
 	if callee == nil {
 		return m
@@ -105,20 +101,25 @@ func (a *analyzer) call(m *matrix.Matrix, name string, args []ast.Expr, dst *mat
 	}
 	// Same-SCC calls (self or mutual recursion) bind the merged fallback
 	// context: recursion is summarized, as in the paper's pB (context.go).
-	recursive := a.eng.sameSCC(a.cur.Name, name)
+	recursive := a.eng.opts.mergedOnly || a.eng.sameSCC(a.cur.Name, name)
 	var ctx *ProcContext
 	if a.st != nil {
 		// Fixpoint mode: resolve against the frozen table and stage the
-		// presentation; the round barrier admits/folds it and re-runs the
+		// presentation; the round barrier rebinds the site and re-runs the
 		// affected items.
-		ctx = sum.resolveFrozen(ent, recursive)
-		a.st.entries = append(a.st.entries, stagedEntry{
-			callee: name, ent: ent, recursive: recursive, caller: a.curItem,
-		})
+		se := stagedEntry{callee: name, ent: ent, caller: a.curItem}
+		if recursive {
+			ctx = sum.fallback()
+		} else {
+			se.site = a.eng.info.sites[node]
+			ctx = se.site.resolveFrozen(sum, ent)
+		}
+		se.seen = ctx
+		a.st.entries = append(a.st.entries, se)
 	} else {
-		// Recording pass and Replay: read-only resolution against the
+		// Recording pass and Replay: resolution by site against the
 		// converged tables.
-		ctx = sum.lookupContext(ent, recursive)
+		ctx = a.eng.resolveRecorded(sum, node, ent, recursive, a.curItem, a.sink != nil)
 		if ctx != nil && a.onCall != nil {
 			a.onCall(item{name, ctx})
 		}

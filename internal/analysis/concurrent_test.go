@@ -55,13 +55,17 @@ func sortedSummaryNames(info *Info) []string {
 	return names
 }
 
-func analyzeWith(t *testing.T, src string, roots []string, workers, maxContexts int) string {
+func analyzeWith(t *testing.T, src string, roots []string, workers int, merged bool) string {
 	t.Helper()
 	prog, err := progs.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	info, err := Analyze(context.Background(), prog, Options{Workers: workers, ExternalRoots: roots, MaxContexts: maxContexts})
+	opts := Options{Workers: workers, ExternalRoots: roots}
+	if merged {
+		opts = MergedOnly(opts)
+	}
+	info, err := Analyze(context.Background(), prog, opts)
 	if err != nil {
 		t.Fatalf("analyze (workers=%d): %v", workers, err)
 	}
@@ -87,20 +91,20 @@ func TestConcurrentFixpointEquivalence(t *testing.T) {
 		})
 	}
 	modes := []struct {
-		name        string
-		maxContexts int
+		name   string
+		merged bool
 	}{
-		{"ctx", 0},     // default context-sensitive summaries
-		{"merged", -1}, // single merged summary per procedure
+		{"ctx", false},   // call-site summaries
+		{"merged", true}, // single merged summary per procedure
 	}
 	for _, mode := range modes {
 		mode := mode
 		for _, tgt := range targets {
 			tgt := tgt
 			t.Run(mode.name+"/"+tgt.name, func(t *testing.T) {
-				ref := analyzeWith(t, tgt.src, tgt.roots, 1, mode.maxContexts)
+				ref := analyzeWith(t, tgt.src, tgt.roots, 1, mode.merged)
 				for _, workers := range []int{2, 8} {
-					if got := analyzeWith(t, tgt.src, tgt.roots, workers, mode.maxContexts); got != ref {
+					if got := analyzeWith(t, tgt.src, tgt.roots, workers, mode.merged); got != ref {
 						t.Errorf("workers=%d diverged from sequential:\n--- sequential\n%s--- workers=%d\n%s",
 							workers, ref, workers, got)
 					}

@@ -2,9 +2,9 @@ package analysis
 
 // Tests for the context-sensitive summary table (context.go): the ctxpair
 // precision pin, mode subsumption (context-sensitive results never add
-// coverage beyond merged mode), graceful cap overflow, call-site edge
-// cases (nil actuals, repeated actuals, non-VarRef actuals), and
-// stacked-handle survival across a Space.Reset epoch.
+// coverage beyond merged mode), call-site edge cases (nil actuals,
+// repeated actuals, non-VarRef actuals), and stacked-handle survival
+// across a Space.Reset epoch.
 
 import (
 	"context"
@@ -19,13 +19,17 @@ import (
 	"repro/internal/sil/types"
 )
 
-func analyzeMode(t *testing.T, src string, roots []string, maxContexts int) *Info {
+func analyzeMode(t *testing.T, src string, roots []string, merged bool) *Info {
 	t.Helper()
 	prog, err := progs.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Analyze(context.Background(), prog, Options{ExternalRoots: roots, MaxContexts: maxContexts})
+	opts := Options{ExternalRoots: roots}
+	if merged {
+		opts = MergedOnly(opts)
+	}
+	info, err := Analyze(context.Background(), prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +52,8 @@ func mainExit(t *testing.T, info *Info) *matrix.Matrix {
 // roots call — a strictly more precise result.
 func TestCtxPairContextPrecision(t *testing.T) {
 	roots := []string{"ra", "rb"}
-	merged := mainExit(t, analyzeMode(t, progs.CtxPair, roots, -1))
-	ctx := mainExit(t, analyzeMode(t, progs.CtxPair, roots, 0))
+	merged := mainExit(t, analyzeMode(t, progs.CtxPair, roots, true))
+	ctx := mainExit(t, analyzeMode(t, progs.CtxPair, roots, false))
 	// Sanity: the merged summary really does pollute the fresh pair —
 	// otherwise this test would pass vacuously.
 	if merged.Get("x", "y").IsEmpty() && merged.Get("y", "x").IsEmpty() {
@@ -61,7 +65,7 @@ func TestCtxPairContextPrecision(t *testing.T) {
 			ctx.Get("x", "y"), ctx.Get("y", "x"))
 	}
 	// bump really is analyzed under two distinct contexts.
-	exact, hasMerged, _ := analyzeMode(t, progs.CtxPair, roots, 0).Summaries["bump"].ContextStats()
+	exact, hasMerged := analyzeMode(t, progs.CtxPair, roots, false).Summaries["bump"].ContextStats()
 	if exact < 2 {
 		t.Errorf("bump should keep 2 exact contexts, got %d (merged fallback: %v)", exact, hasMerged)
 	}
@@ -177,11 +181,11 @@ func TestModePrecisionSubsumption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedInfo, err := Analyze(context.Background(), prog, Options{ExternalRoots: tgt.roots, MaxContexts: -1})
+			mergedInfo, err := Analyze(context.Background(), prog, MergedOnly(Options{ExternalRoots: tgt.roots}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctxInfo, err := Analyze(context.Background(), prog, Options{ExternalRoots: tgt.roots, MaxContexts: 0})
+			ctxInfo, err := Analyze(context.Background(), prog, Options{ExternalRoots: tgt.roots})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,46 +205,6 @@ func TestModePrecisionSubsumption(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestContextTableOverflowGraceful: with a cap of 1 the second distinct
-// context evicts the first into the merged fallback; the analysis still
-// converges, stays within merged-mode coverage, and is deterministic.
-func TestContextTableOverflowGraceful(t *testing.T) {
-	prog, err := progs.Compile(progs.CtxPair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := []string{"ra", "rb"}
-	run := func() *Info {
-		info, err := Analyze(context.Background(), prog, Options{ExternalRoots: roots, MaxContexts: 1, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info
-	}
-	info := run()
-	_, hasMerged, evictions := info.Summaries["bump"].ContextStats()
-	if evictions == 0 || !hasMerged {
-		t.Fatalf("cap 1 should evict into the merged fallback (evictions=%d merged=%v)", evictions, hasMerged)
-	}
-	// Coverage never exceeds merged mode.
-	mergedInfo, err := Analyze(context.Background(), prog, Options{ExternalRoots: roots, MaxContexts: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := subsumptionWords(5)
-	for s, wide := range mergedInfo.After {
-		if sharp, ok := info.After[s]; ok {
-			if msg, ok := matrixCovered(sharp, wide, words); !ok {
-				t.Errorf("overflowed table lost soundness vs merged mode: %s", msg)
-			}
-		}
-	}
-	// Sequential determinism across runs.
-	if a, b := fingerprint(t, info), fingerprint(t, run()); a != b {
-		t.Errorf("overflowed analysis not deterministic:\n--- run 1\n%s--- run 2\n%s", a, b)
 	}
 }
 
@@ -318,7 +282,7 @@ begin
   v := h.value
 end;
 `
-	info := analyzeMode(t, src, nil, 0)
+	info := analyzeMode(t, src, nil, false)
 	if !hasDiag(info, "error", "dereference of definitely-nil handle h") {
 		t.Errorf("normalized f(nil) must still be a definite error: %v", info.DiagStrings())
 	}
@@ -344,7 +308,7 @@ begin
 end
 return (s1);
 `
-	info := analyzeMode(t, src, nil, 0)
+	info := analyzeMode(t, src, nil, false)
 	ctxs := info.Summaries["sum2"].Contexts()
 	if len(ctxs) == 0 {
 		t.Fatal("no context for sum2")
@@ -398,9 +362,14 @@ end;
 // canonical rendering must not).
 func TestStackedRelationsSurviveSpaceReset(t *testing.T) {
 	capture := func() string {
-		info := analyzeMode(t, progs.AddAndReverse, nil, 0)
-		ent := info.Summaries["add_n"].MergedEntry()
-		if ent == nil || !ent.Has(matrix.Stacked(1)) {
+		info := analyzeMode(t, progs.AddAndReverse, nil, false)
+		ctxs := info.Summaries["add_n"].Contexts()
+		fb := ctxs[len(ctxs)-1]
+		if !fb.IsMerged() {
+			t.Fatal("add_n is recursive and must have a merged fallback")
+		}
+		ent := fb.Entry()
+		if !ent.Has(matrix.Stacked(1)) {
 			t.Fatalf("add_n's merged entry must carry h**1; got %v", ent)
 		}
 		if ent.Get(matrix.Stacked(1), "h").IsEmpty() {

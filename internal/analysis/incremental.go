@@ -9,29 +9,27 @@ package analysis
 // into a cohort fingerprint, internal/service); the second part cannot
 // be keyed, so seeding is a VALIDATED HINT, not a contract: Analyze runs
 // the normal round-based fixpoint from the seeded tables, and afterwards
-// checks that the converged run confirmed every seed — every imported
-// context was re-presented and stayed live, no eviction occurred, the
-// merged fallback and the mod-ref bits ended exactly as imported. Any
-// deviation means the callers of a seeded procedure present a different
-// context set than the run the seeds came from, and the whole analysis
-// transparently re-runs cold, so a seeded Analyze returns bit-identical
-// results to an unseeded one by construction — warm runs only change how
-// much fixpoint work is spent, never what is returned.
+// checks that the converged run confirmed every seed — the live contexts
+// are exactly the imported ones, each still bound by a call site with its
+// entry unchanged, and the merged fallback and the mod-ref bits ended
+// exactly as imported. Any deviation means the callers of a seeded
+// procedure present a different context set than the run the seeds came
+// from, and the whole analysis transparently re-runs cold, so a seeded
+// Analyze returns bit-identical results to an unseeded one by
+// construction — warm runs only change how much fixpoint work is spent,
+// never what is returned.
 //
-// Seeding is all-or-nothing per reachable closure: the recording pass
-// resolves calls read-only (lookupContext), so a seeded procedure that
+// Seeding is all-or-nothing per reachable closure: a seeded procedure that
 // converges without re-analysis needs every callee's table populated
 // too. importSeeds drops any seed whose closure is not fully available.
 //
 // Seeds carry no interned IDs (matrix.Encoded renders paths in paper
 // notation), so they survive Space epochs, session handoffs, and — in
-// principle — processes. Records from a run with cap evictions are not
-// exportable: an evicted fingerprint redirect cannot be reproduced from
-// content (only the fingerprint was kept), so ExportSeeds skips those
-// procedures and the callers fall back to cold analysis for them.
+// principle — processes.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/matrix"
@@ -45,29 +43,15 @@ type CtxSeed struct {
 	Exit  *matrix.Encoded `json:"exit,omitempty"`
 }
 
-// SharedSeed is one exported shared-exit alias: a presented entry bound
-// to the exit of the Donor-th exported context instead of a context of
-// its own.
-type SharedSeed struct {
-	Entry matrix.Encoded `json:"entry"`
-	Donor int            `json:"donor"`
-}
-
 // ProcSeed is the exported converged state of one procedure's summary:
-// the exact context table, the merged fallback, the shared-exit aliases,
-// and the mod-ref classification. It is Space-free and deterministic
-// (two exports of the same converged summary are deep-equal).
+// the distinct exact contexts, the merged fallback, and the mod-ref
+// classification. It is Space-free and deterministic (two exports of the
+// same converged summary are deep-equal).
 type ProcSeed struct {
 	// Contexts lists the live exact contexts in creation (seq) order.
 	Contexts []CtxSeed `json:"contexts,omitempty"`
-	// LRU lists indices into Contexts from least to most recently used.
-	LRU []int `json:"lru,omitempty"`
 	// Merged is the widened fallback context, if one exists.
 	Merged *CtxSeed `json:"merged,omitempty"`
-	// MergedActive preserves whether the fallback was live fixpoint work.
-	MergedActive bool `json:"merged_active,omitempty"`
-	// Shared lists the shared-exit aliases in canonical entry order.
-	Shared []SharedSeed `json:"shared,omitempty"`
 
 	UpdateParams   []bool `json:"update_params,omitempty"`
 	LinkParams     []bool `json:"link_params,omitempty"`
@@ -90,16 +74,11 @@ func (ps *ProcSeed) SizeBytes() int {
 	if ps.Merged != nil {
 		size(ps.Merged)
 	}
-	for i := range ps.Shared {
-		n += ps.Shared[i].Entry.SizeBytes() + 8
-	}
-	n += 8*len(ps.LRU) + 3*len(ps.UpdateParams)
-	return n
+	return n + 3*len(ps.UpdateParams)
 }
 
 // ExportSeeds extracts the per-procedure summary records of a converged
-// analysis. Procedures whose table suffered cap evictions (or that were
-// never called) are omitted.
+// analysis. Procedures never called are omitted.
 func ExportSeeds(in *Info) map[string]*ProcSeed {
 	out := make(map[string]*ProcSeed, len(in.Summaries))
 	for name, s := range in.Summaries {
@@ -111,103 +90,67 @@ func ExportSeeds(in *Info) map[string]*ProcSeed {
 }
 
 // exportSeed renders one summary's converged state, or nil when the
-// summary is not exportable (cap evictions, never called, or an alias
-// donor outside the live table).
+// procedure has no context.
 func (s *Summary) exportSeed() *ProcSeed {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evictions > 0 {
+	if len(s.exact) == 0 && s.merged == nil {
 		return nil
 	}
-	if len(s.lru) == 0 && s.merged == nil {
-		return nil
+	encode := func(c *ProcContext) CtxSeed {
+		cs := CtxSeed{Entry: c.entry.Encode()}
+		if c.exit != nil {
+			e := c.exit.Encode()
+			cs.Exit = &e
+		}
+		return cs
 	}
-	ctxs := append([]*ProcContext(nil), s.lru...)
+	ctxs := append([]*ProcContext(nil), s.exact...)
 	sort.Slice(ctxs, func(i, j int) bool { return ctxs[i].seq < ctxs[j].seq })
-	idx := make(map[*ProcContext]int, len(ctxs))
 	ps := &ProcSeed{
 		UpdateParams:   append([]bool(nil), s.UpdateParams...),
 		LinkParams:     append([]bool(nil), s.LinkParams...),
 		AttachesParams: append([]bool(nil), s.AttachesParams...),
 		ModifiesLinks:  s.ModifiesLinks,
 	}
-	for i, c := range ctxs {
-		idx[c] = i
-		cs := CtxSeed{Entry: c.entry.Encode()}
-		if c.exit != nil {
-			e := c.exit.Encode()
-			cs.Exit = &e
-		}
-		ps.Contexts = append(ps.Contexts, cs)
-	}
-	for _, c := range s.lru {
-		ps.LRU = append(ps.LRU, idx[c])
+	for _, c := range ctxs {
+		ps.Contexts = append(ps.Contexts, encode(c))
 	}
 	if s.merged != nil {
-		cs := CtxSeed{Entry: s.merged.entry.Encode()}
-		if s.merged.exit != nil {
-			e := s.merged.exit.Encode()
-			cs.Exit = &e
-		}
-		ps.Merged = &cs
-		ps.MergedActive = s.merged.active
-	}
-	type flatAlias struct {
-		key   string
-		ent   *matrix.Matrix
-		donor int
-	}
-	var aliases []flatAlias
-	for _, bucket := range s.shared {
-		for _, sb := range bucket {
-			di, ok := idx[sb.donor]
-			if !ok {
-				return nil
-			}
-			aliases = append(aliases, flatAlias{canonicalKey(sb.ent), sb.ent, di})
-		}
-	}
-	sort.Slice(aliases, func(i, j int) bool { return aliases[i].key < aliases[j].key })
-	for _, a := range aliases {
-		ps.Shared = append(ps.Shared, SharedSeed{Entry: a.ent.Encode(), Donor: a.donor})
+		m := encode(s.merged)
+		ps.Merged = &m
 	}
 	return ps
 }
 
-// decodedSeed is one seed decoded into the run's Space, staged before
+// seededProc is one seed decoded into the run's Space. It is staged before
 // commit (decode of the whole closure must succeed before any summary is
-// touched).
-type decodedSeed struct {
-	name   string
-	ctxs   []*ProcContext // creation order, seq unassigned
-	lru    []int
-	merged *ProcContext
-	shared []sharedBinding // donor resolved against ctxs
-	seed   *ProcSeed
+// touched) and, once adopted, is the record the post-run check compares
+// against.
+type seededProc struct {
+	name     string
+	ctxs     []*ProcContext // creation order
+	merged   *ProcContext
+	mergedFp matrix.Fp // the fallback entry's fingerprint at adoption
+	seed     *ProcSeed
 }
 
 // decodeSeed re-interns one ProcSeed into the run's Space, validating
 // shape invariants; it does not touch the summary yet.
-func decodeSeed(sp *matrix.Space, name string, ps *ProcSeed, nparams, maxContexts int) (*decodedSeed, error) {
+func decodeSeed(sp *matrix.Space, name string, ps *ProcSeed, nparams int, mergedOnly bool) (*seededProc, error) {
 	if len(ps.UpdateParams) != nparams || len(ps.LinkParams) != nparams || len(ps.AttachesParams) != nparams {
 		return nil, fmt.Errorf("analysis: seed %s: mod-ref arity mismatch", name)
 	}
-	if maxContexts > 0 && len(ps.Contexts) > maxContexts {
-		return nil, fmt.Errorf("analysis: seed %s: %d contexts over cap %d", name, len(ps.Contexts), maxContexts)
-	}
-	if maxContexts < 0 && len(ps.Contexts) > 0 {
+	if mergedOnly && len(ps.Contexts) > 0 {
 		return nil, fmt.Errorf("analysis: seed %s: exact contexts in merged mode", name)
 	}
-	if len(ps.LRU) != len(ps.Contexts) {
-		return nil, fmt.Errorf("analysis: seed %s: lru/context length mismatch", name)
-	}
-	d := &decodedSeed{name: name, seed: ps}
+	d := &seededProc{name: name, seed: ps}
 	decodeCtx := func(cs *CtxSeed, merged bool) (*ProcContext, error) {
 		ent, err := matrix.DecodeIn(sp, cs.Entry)
 		if err != nil {
 			return nil, err
 		}
-		c := &ProcContext{entry: ent, merged: merged, active: !merged}
+		c := &ProcContext{entry: ent, merged: merged, seeded: !merged}
 		if cs.Exit != nil {
 			if c.exit, err = matrix.DecodeIn(sp, *cs.Exit); err != nil {
 				return nil, err
@@ -222,85 +165,34 @@ func decodeSeed(sp *matrix.Space, name string, ps *ProcSeed, nparams, maxContext
 		}
 		d.ctxs = append(d.ctxs, c)
 	}
-	seen := make([]bool, len(ps.Contexts))
-	for _, li := range ps.LRU {
-		if li < 0 || li >= len(ps.Contexts) || seen[li] {
-			return nil, fmt.Errorf("analysis: seed %s: bad lru permutation", name)
-		}
-		seen[li] = true
-	}
-	d.lru = ps.LRU
 	if ps.Merged != nil {
 		c, err := decodeCtx(ps.Merged, true)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: seed %s merged: %w", name, err)
 		}
-		c.active = ps.MergedActive
 		d.merged = c
-	}
-	for i := range ps.Shared {
-		sh := &ps.Shared[i]
-		if sh.Donor < 0 || sh.Donor >= len(d.ctxs) {
-			return nil, fmt.Errorf("analysis: seed %s alias %d: bad donor", name, i)
-		}
-		ent, err := matrix.DecodeIn(sp, sh.Entry)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: seed %s alias %d: %w", name, i, err)
-		}
-		d.shared = append(d.shared, sharedBinding{ent: ent, donor: d.ctxs[sh.Donor]})
 	}
 	return d, nil
 }
 
-// seededProc is the validation record of one committed seed: the
-// pointers and fingerprints the post-run check compares against.
-type seededProc struct {
-	name      string
-	ctxs      []*ProcContext
-	hasMerged bool
-	mergedFp  matrix.Fp
-	sharedN   int
-	seed      *ProcSeed
-}
-
 // adoptSeed commits a decoded seed into a fresh summary (creation-order
-// seq assignment reproduces the exported relative order) and returns the
-// validation record.
-func (s *Summary) adoptSeed(d *decodedSeed) seededProc {
+// seq assignment reproduces the exported relative order).
+func (s *Summary) adoptSeed(d *seededProc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range d.ctxs {
 		c.seq = s.nextSeq()
-		fp := c.entry.Fingerprint()
-		if s.contexts == nil {
-			s.contexts = make(map[matrix.Fp][]*ProcContext)
-		}
-		s.contexts[fp] = append(s.contexts[fp], c)
+		s.exact = append(s.exact, c)
 	}
-	s.lru = s.lru[:0]
-	for _, li := range d.lru {
-		s.lru = append(s.lru, d.ctxs[li])
-	}
-	sp := seededProc{name: d.name, ctxs: d.ctxs, sharedN: len(d.shared), seed: d.seed}
 	if d.merged != nil {
 		d.merged.seq = s.nextSeq()
 		s.merged = d.merged
-		sp.hasMerged = true
-		sp.mergedFp = d.merged.entry.Fingerprint()
-	}
-	for _, sb := range d.shared {
-		if s.shared == nil {
-			s.shared = make(map[matrix.Fp][]sharedBinding)
-		}
-		fp := sb.ent.Fingerprint()
-		s.shared[fp] = append(s.shared[fp], sb)
-		s.exitsShared++
+		d.mergedFp = d.merged.entry.Fingerprint()
 	}
 	copy(s.UpdateParams, d.seed.UpdateParams)
 	copy(s.LinkParams, d.seed.LinkParams)
 	copy(s.AttachesParams, d.seed.AttachesParams)
 	s.ModifiesLinks = d.seed.ModifiesLinks
-	return sp
 }
 
 // importSeeds decodes and commits the usable subset of opts.Seeds before
@@ -308,18 +200,18 @@ func (s *Summary) adoptSeed(d *decodedSeed) seededProc {
 // failing to decode, or whose reachable-callee closure is not itself
 // fully seeded are dropped (those procedures analyze cold). Returns the
 // validation records in sorted name order.
-func importSeeds(e *engine, seeds map[string]*ProcSeed) []seededProc {
+func importSeeds(e *engine, seeds map[string]*ProcSeed) []*seededProc {
 	if len(seeds) == 0 {
 		return nil
 	}
 	callees := ast.Callees(e.prog)
-	decoded := map[string]*decodedSeed{}
+	decoded := map[string]*seededProc{}
 	for name, ps := range seeds {
 		decl := e.prog.Proc(name)
 		if decl == nil {
 			continue
 		}
-		d, err := decodeSeed(e.msp, name, ps, len(decl.Params), e.opts.MaxContexts)
+		d, err := decodeSeed(e.msp, name, ps, len(decl.Params), e.opts.mergedOnly)
 		if err != nil {
 			continue
 		}
@@ -344,24 +236,27 @@ func importSeeds(e *engine, seeds map[string]*ProcSeed) []seededProc {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]seededProc, 0, len(names))
+	out := make([]*seededProc, 0, len(names))
 	for _, name := range names {
-		s := e.summaryFor(e.prog.Proc(name))
-		out = append(out, s.adoptSeed(decoded[name]))
+		e.summaryFor(e.prog.Proc(name)).adoptSeed(decoded[name])
+		out = append(out, decoded[name])
 	}
 	return out
 }
 
 // seedsHeld is the post-run validation: the converged run must have
-// confirmed every committed seed — all imported contexts re-presented
-// and live, no context the seeds did not predict surviving the prune, no
-// cap eviction, the merged fallback and mod-ref bits exactly as
-// imported, and no alias churn. Any miss means the seeded tables were
-// not the fixpoint of THIS program (a caller changed what it presents),
-// and the result cannot be trusted to match a cold run bit-for-bit.
+// confirmed every committed seed — the live contexts exactly the imported
+// ones, each still bound by a call site, the recording pass's own site
+// bindings consistent with what was presented there, and the merged
+// fallback and mod-ref bits exactly as imported. Any miss means the
+// seeded tables were not the fixpoint of THIS program (a caller changed
+// what it presents), and the result cannot be trusted to match a cold run
+// bit-for-bit.
 func (in *Info) seedsHeld() bool {
-	for i := range in.seeded {
-		sp := &in.seeded[i]
+	if !in.sitesHeld {
+		return false
+	}
+	for _, sp := range in.seeded {
 		s := in.Summaries[sp.name]
 		if s == nil || !s.seedHeld(sp) {
 			return false
@@ -373,44 +268,22 @@ func (in *Info) seedsHeld() bool {
 func (s *Summary) seedHeld(sp *seededProc) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evictions > 0 || len(s.lru) != len(sp.ctxs) {
+	if len(s.exact) != len(sp.ctxs) {
 		return false
 	}
 	for _, c := range sp.ctxs {
-		if c.dropped {
+		if c.dropped || c.sites == 0 {
 			return false
 		}
 	}
-	if (s.merged != nil) != sp.hasMerged {
+	if (s.merged != nil) != (sp.merged != nil) {
 		return false
 	}
 	if s.merged != nil && s.merged.entry.Fingerprint() != sp.mergedFp {
 		return false
 	}
-	n := 0
-	for _, bucket := range s.shared {
-		n += len(bucket)
-	}
-	if n != sp.sharedN {
-		return false
-	}
-	if s.ModifiesLinks != sp.seed.ModifiesLinks ||
-		!boolsEqual(s.UpdateParams, sp.seed.UpdateParams) ||
-		!boolsEqual(s.LinkParams, sp.seed.LinkParams) ||
-		!boolsEqual(s.AttachesParams, sp.seed.AttachesParams) {
-		return false
-	}
-	return true
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return s.ModifiesLinks == sp.seed.ModifiesLinks &&
+		slices.Equal(s.UpdateParams, sp.seed.UpdateParams) &&
+		slices.Equal(s.LinkParams, sp.seed.LinkParams) &&
+		slices.Equal(s.AttachesParams, sp.seed.AttachesParams)
 }

@@ -61,8 +61,8 @@ func dumpInfo(in *analysis.Info) string {
 		} else {
 			fmt.Fprintf(&b, "modifiesLinks=%v update=%v link=%v attach=%v\n",
 				s.ModifiesLinks, s.UpdateParams, s.LinkParams, s.AttachesParams)
-			exact, hasMerged, evict := s.ContextStats()
-			fmt.Fprintf(&b, "contexts=%d merged=%v evictions=%d\n", exact, hasMerged, evict)
+			exact, hasMerged := s.ContextStats()
+			fmt.Fprintf(&b, "contexts=%d merged=%v\n", exact, hasMerged)
 			for i, c := range s.Contexts() {
 				fmt.Fprintf(&b, "-- ctx %d merged=%v --\nentry:\n%s\n", i, c.IsMerged(), c.Entry())
 				if c.Exit() != nil {
@@ -87,15 +87,18 @@ func dumpInfo(in *analysis.Info) string {
 	return b.String()
 }
 
-func analyzeIn(t *testing.T, prog *ast.Program, roots []string, maxCtx, workers int, sp *matrix.Space, seeds map[string]*analysis.ProcSeed) *analysis.Info {
+func analyzeIn(t *testing.T, prog *ast.Program, roots []string, merged bool, workers int, sp *matrix.Space, seeds map[string]*analysis.ProcSeed) *analysis.Info {
 	t.Helper()
-	info, err := analysis.Analyze(context.Background(), prog, analysis.Options{
+	opts := analysis.Options{
 		ExternalRoots: roots,
-		MaxContexts:   maxCtx,
 		Workers:       workers,
 		Space:         sp,
 		Seeds:         seeds,
-	})
+	}
+	if merged {
+		opts = analysis.MergedOnly(opts)
+	}
+	info, err := analysis.Analyze(context.Background(), prog, opts)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -114,16 +117,16 @@ func TestSeededWarmEqualsCold(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cases = append(cases, prg{fmt.Sprintf("random%d", seed), progs.RandomProgram(seed), nil})
 	}
-	for _, maxCtx := range []int{0, -1} {
+	for _, merged := range []bool{false, true} {
 		mode := "ctx"
-		if maxCtx < 0 {
+		if merged {
 			mode = "merged"
 		}
 		for _, tc := range cases {
 			t.Run(mode+"/"+tc.name, func(t *testing.T) {
 				prog := progs.MustCompile(tc.src)
 				sp := matrix.NewSpace(path.NewSpace())
-				cold := analyzeIn(t, prog, tc.roots, maxCtx, 1, sp, nil)
+				cold := analyzeIn(t, prog, tc.roots, merged, 1, sp, nil)
 				coldDump := dumpInfo(cold)
 				seeds := analysis.ExportSeeds(cold)
 				if len(seeds) == 0 {
@@ -133,7 +136,7 @@ func TestSeededWarmEqualsCold(t *testing.T) {
 					// A fresh Space each time: seeds must not depend on
 					// the exporting run's interned state.
 					wsp := matrix.NewSpace(path.NewSpace())
-					warm := analyzeIn(t, prog, tc.roots, maxCtx, workers, wsp, seeds)
+					warm := analyzeIn(t, prog, tc.roots, merged, workers, wsp, seeds)
 					if warm.SeedsFellBack {
 						t.Fatalf("workers=%d: seeds rejected on identical program", workers)
 					}
@@ -158,11 +161,11 @@ func TestSeededAcrossSpaceReset(t *testing.T) {
 	e := progs.Catalog[1] // treeadd
 	prog := progs.MustCompile(e.Source)
 	sp := matrix.NewSpace(path.NewSpace())
-	cold := analyzeIn(t, prog, e.Roots, 0, 2, sp, nil)
+	cold := analyzeIn(t, prog, e.Roots, false, 2, sp, nil)
 	coldDump := dumpInfo(cold)
 	seeds := analysis.ExportSeeds(cold)
 	sp.Paths().Reset()
-	warm := analyzeIn(t, prog, e.Roots, 0, 2, sp, seeds)
+	warm := analyzeIn(t, prog, e.Roots, false, 2, sp, seeds)
 	if warm.SeedsFellBack || warm.FixpointSteps != 0 {
 		t.Fatalf("after reset: fellBack=%v steps=%d", warm.SeedsFellBack, warm.FixpointSteps)
 	}
@@ -178,7 +181,7 @@ func TestPartialSeedsClosureFilter(t *testing.T) {
 	e := progs.Catalog[1] // treeadd: main -> add_n
 	prog := progs.MustCompile(e.Source)
 	sp := matrix.NewSpace(path.NewSpace())
-	cold := analyzeIn(t, prog, e.Roots, 0, 1, sp, nil)
+	cold := analyzeIn(t, prog, e.Roots, false, 1, sp, nil)
 	coldDump := dumpInfo(cold)
 	seeds := analysis.ExportSeeds(cold)
 
@@ -193,7 +196,7 @@ func TestPartialSeedsClosureFilter(t *testing.T) {
 	}
 	// Dropping the leaf must drop main too (its closure includes leaf).
 	partial := map[string]*analysis.ProcSeed{"main": seeds["main"]}
-	warm := analyzeIn(t, prog, e.Roots, 0, 1, matrix.NewSpace(path.NewSpace()), partial)
+	warm := analyzeIn(t, prog, e.Roots, false, 1, matrix.NewSpace(path.NewSpace()), partial)
 	if warm.SeededProcs != 0 {
 		t.Fatalf("closure filter kept %d seeds, want 0", warm.SeededProcs)
 	}
@@ -206,14 +209,14 @@ func TestPartialSeedsClosureFilter(t *testing.T) {
 
 	// Seeding only the leaf keeps the leaf warm and re-analyzes main.
 	partial = map[string]*analysis.ProcSeed{leaf: seeds[leaf]}
-	warm = analyzeIn(t, prog, e.Roots, 0, 1, matrix.NewSpace(path.NewSpace()), partial)
+	warm = analyzeIn(t, prog, e.Roots, false, 1, matrix.NewSpace(path.NewSpace()), partial)
 	if warm.SeededProcs != 1 {
 		t.Fatalf("leaf-only seeding kept %d seeds, want 1", warm.SeededProcs)
 	}
 	if d := dumpInfo(warm); d != coldDump {
 		t.Fatal("leaf-seeded warm run differs from cold")
 	}
-	full := analyzeIn(t, prog, e.Roots, 0, 1, matrix.NewSpace(path.NewSpace()), seeds)
+	full := analyzeIn(t, prog, e.Roots, false, 1, matrix.NewSpace(path.NewSpace()), seeds)
 	if full.FixpointSteps >= cold.FixpointSteps {
 		t.Fatalf("fully seeded steps %d not below cold %d", full.FixpointSteps, cold.FixpointSteps)
 	}
@@ -229,7 +232,7 @@ func TestSeedExportDeterminism(t *testing.T) {
 	prog := progs.MustCompile(e.Source)
 	dump := func() string {
 		sp := matrix.NewSpace(path.NewSpace())
-		info := analyzeIn(t, prog, e.Roots, 0, 4, sp, nil)
+		info := analyzeIn(t, prog, e.Roots, false, 4, sp, nil)
 		seeds := analysis.ExportSeeds(info)
 		names := make([]string, 0, len(seeds))
 		for n := range seeds {

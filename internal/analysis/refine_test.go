@@ -175,7 +175,7 @@ begin
     v := g.value
 end;
 `
-	info := analyzeMode(t, src, nil, 0)
+	info := analyzeMode(t, src, nil, false)
 	if !hasDiag(info, "error", "dereference of definitely-nil handle g") {
 		t.Errorf("g = h with h nil must make g.value a definite error: %v", info.DiagStrings())
 	}
@@ -193,7 +193,7 @@ begin
       v := h.value
 end;
 `
-	info2 := analyzeMode(t, src2, nil, 0)
+	info2 := analyzeMode(t, src2, nil, false)
 	if hasDiag(info2, "warn", "possible nil dereference of handle h") {
 		t.Errorf("h = g with g non-nil must suppress the possible-nil warning on h: %v", info2.DiagStrings())
 	}

@@ -2,10 +2,9 @@ package analysis
 
 // Regression tests for the quiescent-Info contract that the serving layer
 // (internal/service) depends on: Replay must resolve call contexts against
-// the converged tables read-only — binding the merged fallback for entries
-// whose exact context was LRU-evicted — and a shared *Info must tolerate
-// concurrent readers (ProcOf/Shape/DiagStrings/Replay) without any
-// mutation-after-Analyze.
+// the converged tables read-only — by call site — and a shared *Info must
+// tolerate concurrent readers (ProcOf/Shape/DiagStrings/Replay) without
+// any mutation-after-Analyze.
 
 import (
 	"context"
@@ -31,110 +30,76 @@ func callStmtsTo(prog *ast.Program, name string) []*ast.CallStmt {
 	return out
 }
 
-// TestReplayBindsFallbackAfterEviction drives the context table of ctxpair
-// past its cap (MaxContexts=1): the aliased-roots call's exact context is
-// LRU-evicted into the merged fallback when the fresh-pair call is
-// admitted. A later Replay that re-presents the evicted entry must bind
-// the fallback (whose widened entry absorbs every context ever presented),
-// not a stale exact context — and certainly not bottom.
-func TestReplayBindsFallbackAfterEviction(t *testing.T) {
+// TestReplayBindsBySite: Replay resolves a call by its site. ctxpair's
+// main calls bump from two sites with distinct entries; replaying main's
+// body binds each site's own context, and replaying the second call from
+// main's entry matrix — an entry that site never presented — still binds
+// that site's context, not bottom.
+func TestReplayBindsBySite(t *testing.T) {
 	prog, err := progs.Compile(progs.CtxPair)
 	if err != nil {
 		t.Fatal(err)
 	}
 	roots := []string{"ra", "rb"}
-	info, err := Analyze(context.Background(), prog, Options{ExternalRoots: roots, MaxContexts: 1, Workers: 1})
+	info, err := Analyze(context.Background(), prog, Options{ExternalRoots: roots, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := info.Summaries["bump"]
-	exact, hasMerged, evictions := sum.ContextStats()
-	if evictions == 0 || !hasMerged || exact != 1 {
-		t.Fatalf("precondition: cap 1 must evict into the fallback (exact=%d merged=%v evictions=%d)",
-			exact, hasMerged, evictions)
+	if exact, hasMerged := info.Summaries["bump"].ContextStats(); exact != 2 || hasMerged {
+		t.Fatalf("precondition: bump has two exact contexts and no fallback (exact=%d merged=%v)", exact, hasMerged)
 	}
 
 	// Replay main's whole body with the same machinery Info.Replay uses,
 	// plus an onCall probe capturing which context every call site binds.
 	main := prog.Proc("main")
 	p0 := entryForMain(main, info.Opts)
+	var last *ProcContext
 	a := &analyzer{
 		eng:       newEngine(nil, info.Prog, info.Opts, info),
 		recording: true,
 		mute:      true,
 		sink:      map[ast.Stmt]*matrix.Matrix{},
 		cur:       main,
-	}
-	bound := map[*ast.CallStmt]*ProcContext{}
-	m := p0.Copy()
-	for _, s := range main.Body.Stmts {
-		if c, ok := s.(*ast.CallStmt); ok && c.Name == "bump" {
-			// Capture the binding exactly as a.call resolves it.
-			prev := m.Copy()
-			m = a.stmt(m, s)
-			bound[c] = replayBinding(t, a, sum, prev, c)
-			continue
-		}
-		m = a.stmt(m, s)
-	}
-	if m == nil {
-		t.Fatal("replay of main must not end in bottom")
+		onCall:    func(it item) { last = it.ctx },
 	}
 	calls := callStmtsTo(prog, "bump")
 	if len(calls) != 2 {
 		t.Fatalf("ctxpair main should call bump twice, found %d", len(calls))
 	}
-	evictedBinding, survivorBinding := bound[calls[0]], bound[calls[1]]
-	if evictedBinding == nil || survivorBinding == nil {
-		t.Fatal("replay did not resolve both bump call sites")
+	bound := map[*ast.CallStmt]*ProcContext{}
+	m := p0.Copy()
+	for _, s := range main.Body.Stmts {
+		last = nil
+		m = a.stmt(m, s)
+		if c, ok := s.(*ast.CallStmt); ok && c.Name == "bump" {
+			bound[c] = last
+		}
 	}
-	if !evictedBinding.IsMerged() {
-		t.Errorf("evicted entry must bind the merged fallback, got exact context (entry %v)",
-			evictedBinding.Entry().Handles())
+	if m == nil {
+		t.Fatal("replay of main must not end in bottom")
 	}
-	if survivorBinding.IsMerged() {
-		t.Error("surviving exact context must still resolve exactly, got the fallback")
+	for i, c := range calls {
+		got := bound[c]
+		if got == nil || got.IsMerged() || got.Exit() == nil {
+			t.Fatalf("call %d: replay bound %v, want its site's exact context with an exit", i, got)
+		}
+		if got != info.sites[c].ctx {
+			t.Errorf("call %d: replay bound a context other than its site's", i)
+		}
 	}
-	if evictedBinding.Exit() == nil {
-		t.Error("fallback bound by the replay must have a materialized exit")
-	}
-	// The fallback's widened entry must cover the surviving exact entry —
-	// it absorbed every context ever presented, which is what makes it a
-	// sound stand-in for the evicted one.
-	if !entryCoveredBy(survivorBinding.Entry(), evictedBinding.Entry()) {
-		t.Error("fallback entry does not cover the surviving exact entry — not the widened join")
+	if bound[calls[0]] == bound[calls[1]] {
+		t.Error("the two bump sites have distinct entries but replay bound one context")
 	}
 
-	// The public API agrees: Replay over the same sequence is non-bottom
-	// and records a matrix before every statement it visited.
-	mats, final := info.Replay("main", p0, []ast.Stmt{calls[0]})
+	// The public API agrees: replaying the second call from main's entry
+	// is non-bottom and records a matrix before every statement it visited.
+	mats, final := info.Replay("main", p0, []ast.Stmt{calls[1]})
 	if final == nil {
-		t.Fatal("Info.Replay of the evicted-context call returned bottom")
+		t.Fatal("Info.Replay of the second bump call returned bottom")
 	}
 	if len(mats) == 0 {
 		t.Error("Info.Replay recorded no before-matrices")
 	}
-}
-
-// replayBinding resolves the context a replayed call site binds, using the
-// same read-only lookup a.call performs (the staged matrix prev is the
-// state immediately before the call).
-func replayBinding(t *testing.T, a *analyzer, sum *Summary, prev *matrix.Matrix, c *ast.CallStmt) *ProcContext {
-	t.Helper()
-	callee := a.eng.prog.Proc(c.Name)
-	hIdx := handleParams(callee)
-	actuals := make([]matrix.Handle, len(hIdx))
-	nilArg := make([]bool, len(hIdx))
-	for k, pi := range hIdx {
-		switch v := c.Args[pi].(type) {
-		case *ast.VarRef:
-			actuals[k] = matrix.Handle(v.Name)
-		case *ast.NilLit:
-			nilArg[k] = true
-		}
-	}
-	ent := a.buildEntry(prev, callee, actuals, nilArg)
-	return sum.lookupContext(ent, a.eng.sameSCC(a.cur.Name, c.Name))
 }
 
 // TestReplayDeadCodeCallStaysQuiescent: a call only reachable after a
@@ -204,11 +169,10 @@ func TestSharedInfoConcurrentReaders(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
 		roots     []string
-		ctx       int
 	}{
-		{"add_and_reverse", progs.AddAndReverse, nil, 0},
-		{"ctxpair-cap1", progs.CtxPair, []string{"ra", "rb"}, 1},
-		{"mutualwalk", progs.MutualWalk, []string{"root"}, 0},
+		{"add_and_reverse", progs.AddAndReverse, nil},
+		{"ctxpair", progs.CtxPair, []string{"ra", "rb"}},
+		{"mutualwalk", progs.MutualWalk, []string{"root"}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,7 +180,7 @@ func TestSharedInfoConcurrentReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			info, err := Analyze(context.Background(), prog, Options{ExternalRoots: tc.roots, MaxContexts: tc.ctx})
+			info, err := Analyze(context.Background(), prog, Options{ExternalRoots: tc.roots})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,8 +207,6 @@ func TestSharedInfoConcurrentReaders(t *testing.T) {
 						_ = info.ContextTableStats()
 						for _, sum := range info.Summaries {
 							_ = sum.ReadOnlyParam(0)
-							_ = sum.MergedEntry()
-							_ = sum.MergedExit()
 							for _, c := range sum.Contexts() {
 								_, _ = c.Entry(), c.Exit()
 							}

@@ -72,24 +72,15 @@ func coveredBy(entry path.Set, w string) bool {
 }
 
 func TestAnalysisCoversConcreteRelationships(t *testing.T) {
-	// Every summary mode must cover the concrete executions: the default
-	// context-sensitive table, the merged (context-insensitive) mode, and
-	// a cap-1 table, which forces the eviction/redirect machinery (every
-	// second distinct context evicts the first into the fallback) on every
-	// multi-context random program. The scheduled soundness workflow runs
-	// the cap-1 shard in a job of its own (and sets SIL_SKIP_CAP1 in the
-	// main job so the budget is not spent twice); per-PR runs keep all
-	// three modes inline.
+	// Both summary modes must cover the concrete executions: the call-site
+	// table and the merged (context-insensitive) reference mode.
 	for _, mode := range []struct {
-		name        string
-		maxContexts int
-	}{{"ctx", 0}, {"merged", -1}, {"ctx-cap1", 1}} {
+		name   string
+		merged bool
+	}{{"ctx", false}, {"merged", true}} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			if mode.maxContexts == 1 && os.Getenv("SIL_SKIP_CAP1") != "" {
-				t.Skip("cap-1 shard runs in its own scheduled job")
-			}
-			coverSoundness(t, mode.maxContexts)
+			coverSoundness(t, mode.merged)
 		})
 	}
 }
@@ -111,7 +102,7 @@ func dumpFailureSeed(t *testing.T, seed int64, src string) {
 	}
 }
 
-func coverSoundness(t *testing.T, maxContexts int) {
+func coverSoundness(t *testing.T, merged bool) {
 	// The scheduled CI soundness job widens the random-program budget via
 	// SIL_QUICK_SCALE; per-PR runs keep the fast default.
 	trials := 250
@@ -135,7 +126,11 @@ func coverSoundness(t *testing.T, maxContexts int) {
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		info, err := Analyze(context.Background(), prog, Options{MaxContexts: maxContexts})
+		opts := Options{}
+		if merged {
+			opts = MergedOnly(opts)
+		}
+		info, err := Analyze(context.Background(), prog, opts)
 		if err != nil {
 			t.Fatalf("seed %d: analyze: %v", seed, err)
 		}

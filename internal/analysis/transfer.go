@@ -119,7 +119,7 @@ func (a *analyzer) assign(m *matrix.Matrix, s *ast.Assign) *matrix.Matrix {
 			// x := <int expr> | x := f(args): scalar destination. Reads of
 			// a.value are dereferences; calls have their own effects.
 			if call, ok := s.Rhs.(*ast.CallExpr); ok {
-				return a.call(m, call.Name, call.Args, nil, call.Pos())
+				return a.call(m, call, call.Name, call.Args, nil)
 			}
 			a.scalarReads(m, s.Rhs)
 			return m
@@ -197,7 +197,7 @@ func (a *analyzer) assignHandle(m *matrix.Matrix, dst matrix.Handle, rhs ast.Exp
 	case *ast.FieldRef:
 		return a.loadField(m, dst, matrix.Handle(rhs.Base), dirOf(rhs.Field), rhs.Pos())
 	case *ast.CallExpr:
-		return a.call(m, rhs.Name, rhs.Args, &dst, rhs.Pos())
+		return a.call(m, rhs, rhs.Name, rhs.Args, &dst)
 	}
 	return m
 }

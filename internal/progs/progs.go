@@ -333,14 +333,11 @@ begin
 end;
 `
 
-// ShareRead is the entry-invariant exit-sharing showcase: depth is a
-// read-only recursive function first called on an externally built tree
-// (a maybe-nil, unknown-indegree entry) and then on a freshly allocated
-// node, whose entry — definitely non-nil, root indegree — is covered by
-// the first one. Since mod-ref proves depth never writes through (or
-// attaches) its argument, the second context cannot observe the
-// difference: the analysis binds the converged first exit to it instead of
-// analyzing a second context (CtxTableStats reports it under ExitsShared).
+// ShareRead calls the read-only recursive function depth first on an
+// externally built tree (a maybe-nil, unknown-indegree entry) and then on
+// a freshly allocated node, whose entry — definitely non-nil, root
+// indegree — is covered by the first one. Each call site gets its own
+// context, so the second call is analyzed from its own, sharper entry.
 const ShareRead = `
 program shareread
 procedure main()
@@ -392,7 +389,7 @@ var Catalog = []Entry{
 	{"listinc", ListIncrement, true, []string{"cur"}, "linear list walk — no parallelism (negative control)"},
 	{"dagdemo", TreeDagDemo, false, nil, "DAG and cycle creation for structure verification"},
 	{"ctxpair", CtxPair, false, []string{"ra", "rb"}, "context-sensitivity demo: aliased-roots call vs fresh-pair call"},
-	{"shareread", ShareRead, true, []string{"root"}, "entry-invariant exit sharing: read-only depth on external tree then fresh node"},
+	{"shareread", ShareRead, true, []string{"root"}, "two call sites of a read-only recursive function: external tree, then fresh node"},
 }
 
 // Compile parses, checks and normalizes a corpus source.

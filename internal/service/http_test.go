@@ -138,6 +138,11 @@ func TestHTTPParseErrorIs400(t *testing.T) {
 	if resp, data := post(t, srv, trailing); resp.StatusCode != 400 || !strings.Contains(string(data), CodeInvalidRequest) {
 		t.Errorf("trailing data: status %d body %s, want 400 invalid_request", resp.StatusCode, data)
 	}
+	// The retired context-table cap is an unknown field now.
+	capped := `{"source":"program p\nprocedure main()\nbegin\nend;","max_contexts":1}`
+	if resp, data := post(t, srv, capped); resp.StatusCode != 400 || !strings.Contains(string(data), CodeInvalidRequest) {
+		t.Errorf("max_contexts: status %d body %s, want 400 invalid_request", resp.StatusCode, data)
+	}
 }
 
 // TestHTTPStatsAndHealthz exercises the monitoring endpoints.

@@ -197,6 +197,8 @@ var scalarFamilies = []family{
 		func(m metricsSnapshot) float64 { return float64(m.stats.SummaryStore.Invalidations) }},
 	{"sil_summary_entries", "gauge", "Summary-store current size (records).",
 		func(m metricsSnapshot) float64 { return float64(m.stats.SummaryStore.Entries) }},
+	{"sil_summary_cold_reruns_total", "counter", "Seeded analyses whose seeds failed validation and re-ran cold.",
+		func(m metricsSnapshot) float64 { return float64(m.stats.SummaryColdReruns) }},
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -88,7 +88,6 @@ func SummaryKey(cohort Fp, opts analysis.Options) Fp {
 	for _, r := range opts.ExternalRoots {
 		f.mixString(r)
 	}
-	f.mixInt(opts.MaxContexts)
 	f.mixInt(opts.MaxLoopIters)
 	f.mixInt(opts.Limits.MaxExact)
 	f.mixInt(opts.Limits.MaxSegs)

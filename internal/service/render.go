@@ -33,10 +33,9 @@ type ProcDoc struct {
 	Params        []ParamDoc `json:"params,omitempty"`
 	ModifiesLinks bool       `json:"modifies_links"`
 	// ExactContexts counts live exact call contexts; HasFallback reports a
-	// materialized merged fallback; Evictions counts cap evictions.
+	// merged fallback (recursion).
 	ExactContexts int  `json:"exact_contexts"`
 	HasFallback   bool `json:"has_fallback"`
-	Evictions     int  `json:"evictions,omitempty"`
 }
 
 // LimitsDoc reflects the effective path-domain budgets (after service
@@ -54,14 +53,13 @@ type LimitsDoc struct {
 // (lazy-fallback work, exit sharing), which warm summary-seeded runs
 // legitimately skip, so they could not stay in a body that must be
 // byte-identical between cold and warm analyses — and added the effective
-// `limits` block.
+// `limits` block. v3 dropped `mode` and both `evictions` fields: contexts
+// are keyed by call site, so there is one mode and nothing is evicted.
 type ResultDoc struct {
 	Schema      string `json:"schema"`
 	Name        string `json:"name"`
 	Fingerprint string `json:"fingerprint"`
-	// Mode is "context" or "merged"; Workers is omitted on purpose —
-	// results are worker-independent.
-	Mode   string    `json:"mode"`
+	// Workers is omitted on purpose: results are worker-independent.
 	Limits LimitsDoc `json:"limits"`
 
 	Shape     string   `json:"shape"`
@@ -75,23 +73,17 @@ type ResultDoc struct {
 	// Context-table roll-up (see analysis.CtxTableStats).
 	Contexts    int `json:"contexts"`
 	MergedProcs int `json:"merged_procs"`
-	Evictions   int `json:"evictions"`
 
 	Procedures []ProcDoc `json:"procedures"`
 }
 
 // renderResult builds the canonical JSON body for one analysis.
 func renderResult(name string, fp Fp, info *analysis.Info, parRes *par.Result) ([]byte, error) {
-	mode := "merged"
-	if info.Opts.ContextSensitive() {
-		mode = "context"
-	}
 	ct := info.ContextTableStats()
 	doc := ResultDoc{
-		Schema:      "sil-analysis/v2",
+		Schema:      "sil-analysis/v3",
 		Name:        name,
 		Fingerprint: fp.String(),
-		Mode:        mode,
 		Limits: LimitsDoc{
 			MaxExact: info.Opts.Limits.MaxExact,
 			MaxSegs:  info.Opts.Limits.MaxSegs,
@@ -102,7 +94,6 @@ func renderResult(name string, fp Fp, info *analysis.Info, parRes *par.Result) (
 		Diags:       info.DiagStrings(),
 		Contexts:    ct.Exact,
 		MergedProcs: ct.MergedProcs,
-		Evictions:   ct.Evictions,
 	}
 	if doc.Diags == nil {
 		doc.Diags = []string{}
@@ -129,10 +120,7 @@ func renderResult(name string, fp Fp, info *analysis.Info, parRes *par.Result) (
 				Attaches: i < len(sum.AttachesParams) && sum.AttachesParams[i],
 			})
 		}
-		exact, hasMerged, evictions := sum.ContextStats()
-		pd.ExactContexts = exact
-		pd.HasFallback = hasMerged
-		pd.Evictions = evictions
+		pd.ExactContexts, pd.HasFallback = sum.ContextStats()
 		doc.Procedures = append(doc.Procedures, pd)
 	}
 	return json.Marshal(doc)

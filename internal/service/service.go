@@ -53,7 +53,7 @@ import (
 // Options tunes a Service.
 type Options struct {
 	// Analysis is the default analysis configuration; per-request overrides
-	// (Roots, MaxContexts) apply on top. Workers is per-analysis and does
+	// (Roots, Limits) apply on top. Workers is per-analysis and does
 	// not affect results (the engine is bit-identical across pool sizes),
 	// so it is excluded from cache keys. Analysis.Space is ignored: every
 	// pooled session substitutes its own private Space.
@@ -137,9 +137,6 @@ type Request struct {
 	// Roots names main locals bound to externally built structures
 	// (analysis.Options.ExternalRoots).
 	Roots []string `json:"roots,omitempty"`
-	// MaxContexts overrides the context-table cap when non-zero (negative
-	// = merged mode), mirroring analysis.Options.MaxContexts.
-	MaxContexts int `json:"max_contexts,omitempty"`
 	// Limits overrides path-domain budgets per request so interactive
 	// clients can set tighter budgets than batch ones. Zero fields keep
 	// the service default; negative fields are rejected with a 400. The
@@ -295,7 +292,10 @@ type Service struct {
 	coalesced atomic.Uint64
 	evictions atomic.Uint64
 	resets    atomic.Uint64
-	errors    atomic.Uint64
+	// coldReruns counts seeded analyses whose seeds failed validation and
+	// re-ran cold (analysis.Info.SeedsFellBack).
+	coldReruns atomic.Uint64
+	errors     atomic.Uint64
 	// shed counts requests refused admission outright; expired counts
 	// requests whose context ended while queued for a session.
 	shed    atomic.Uint64
@@ -585,6 +585,9 @@ func (s *Service) runAnalysis(ctx context.Context, p prepared) ([]byte, *Request
 	if aerr != nil {
 		return nil, analysisRequestError(aerr)
 	}
+	if info.SeedsFellBack {
+		s.coldReruns.Add(1)
+	}
 	parRes := par.Parallelize(info, s.opts.Par)
 	s.phases[phaseFixpoint].observe(metricsNow().Sub(t))
 	// The document is rendered under the program's DECLARED name — a
@@ -666,9 +669,6 @@ func (s *Service) requestOptions(req Request) analysis.Options {
 		roots := append([]string(nil), req.Roots...)
 		sort.Strings(roots)
 		opts.ExternalRoots = roots
-	}
-	if req.MaxContexts != 0 {
-		opts.MaxContexts = req.MaxContexts
 	}
 	if req.Limits != nil {
 		lim := opts.Limits
@@ -796,6 +796,10 @@ type Stats struct {
 	// SummaryStore is the per-procedure summary store's counters (all
 	// zero when the store is disabled).
 	SummaryStore SummaryStoreStats `json:"summary_store"`
+	// SummaryColdReruns counts seeded analyses whose seeds failed
+	// validation, so the analysis re-ran cold: the warm path's misses that
+	// the store's hit counter cannot show.
+	SummaryColdReruns uint64 `json:"summary_cold_reruns"`
 }
 
 // Stats snapshots the service counters and the per-session Space tables.
@@ -823,6 +827,8 @@ func (s *Service) Stats() Stats {
 		ErrorCodes:     s.errCodes.snapshot(),
 		Sessions:       uint64(s.opts.Sessions),
 		EpochResets:    s.resets.Load(),
+
+		SummaryColdReruns: s.coldReruns.Load(),
 	}
 	if s.sumStore != nil {
 		st.SummaryStore = s.sumStore.stats()

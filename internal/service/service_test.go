@@ -401,7 +401,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	if !bytes.Equal(r1.Body, r2.Body) {
 		t.Error("reformatted source returned different bytes")
 	}
-	r3 := svc.Analyze(context.Background(), Request{Source: compact, MaxContexts: -1})
+	r3 := svc.Analyze(context.Background(), Request{Source: compact, Limits: &LimitsSpec{MaxPaths: 2}})
 	if r3.Err != nil {
 		t.Fatal(r3.Err)
 	}
@@ -469,8 +469,13 @@ func TestResultDocumentShape(t *testing.T) {
 	if err := json.Unmarshal(resp.Body, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Schema != "sil-analysis/v2" || doc.Name != "add_and_reverse" || doc.Mode != "context" {
+	if doc.Schema != "sil-analysis/v3" || doc.Name != "add_and_reverse" {
 		t.Errorf("unexpected document header: %+v", doc)
+	}
+	for _, gone := range []string{`"mode"`, `"evictions"`} {
+		if bytes.Contains(resp.Body, []byte(gone)) {
+			t.Errorf("v3 document still carries %s: %s", gone, resp.Body)
+		}
 	}
 	if doc.Limits != (LimitsDoc{MaxExact: 8, MaxSegs: 6, MaxPaths: 8}) {
 		t.Errorf("default limits misreflected: %+v", doc.Limits)

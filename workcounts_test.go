@@ -14,134 +14,142 @@ import (
 	"repro/internal/progs"
 )
 
-// workCounts is the deterministic work one corpus program costs in one
-// summary mode: fixpoint item analyses, the context-table statistics, and
-// the parallelizer's counts. Unlike wall-clock time these are free of
-// noise, so they gate exactly.
+// workCounts is the deterministic work one program costs: fixpoint item
+// analyses, the context-table statistics, and the parallelizer's counts.
+// Unlike wall-clock time these are free of noise, so they gate exactly.
 type workCounts struct {
 	name  string
-	mode  string // "context" (the default table) or "merged" (MaxContexts -1)
 	steps int
 	ctx   analysis.CtxTableStats
 	par   par.Stats
 }
 
-// corpusWorkCounts pins every progs.Catalog program in both summary
-// modes. A change that moves a count updates this table (the failing test
-// prints the whole new one) and says why in CHANGES.md.
+// corpusWorkCounts pins every progs.Catalog program and three call chains
+// (k = 4, 8, 12, phase 0; 2k+1 exact contexts each). A change that moves a
+// count updates this table (the failing test prints the whole new one)
+// and says why in CHANGES.md.
 var corpusWorkCounts = []workCounts{
-	{"add_and_reverse", "context", 37,
-		analysis.CtxTableStats{Exact: 4, MergedProcs: 3, Evictions: 0, FallbacksActivated: 3, FallbackAnalyses: 24, ExitsShared: 0},
+	{"add_and_reverse", 37,
+		analysis.CtxTableStats{Exact: 4, MergedProcs: 3, Evictions: 0, FallbackAnalyses: 24},
 		par.Stats{ParStatements: 9, Branches: 21, LeafGroups: 9, SeqGroups: 0}},
-	{"add_and_reverse", "merged", 36,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 4, Evictions: 0, FallbacksActivated: 4, FallbackAnalyses: 36, ExitsShared: 0},
-		par.Stats{ParStatements: 9, Branches: 21, LeafGroups: 9, SeqGroups: 0}},
-	{"treeadd", "context", 13,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 8, ExitsShared: 0},
+	{"treeadd", 13,
+		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbackAnalyses: 8},
 		par.Stats{ParStatements: 2, Branches: 5, LeafGroups: 2, SeqGroups: 0}},
-	{"treeadd", "merged", 16,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 16, ExitsShared: 0},
-		par.Stats{ParStatements: 2, Branches: 5, LeafGroups: 2, SeqGroups: 0}},
-	{"treereverse", "context", 14,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 8, ExitsShared: 0},
+	{"treereverse", 14,
+		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbackAnalyses: 8},
 		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 3, SeqGroups: 0}},
-	{"treereverse", "merged", 16,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 16, ExitsShared: 0},
-		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 3, SeqGroups: 0}},
-	{"treesum", "context", 13,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 8, ExitsShared: 0},
+	{"treesum", 13,
+		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbackAnalyses: 8},
 		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 1, SeqGroups: 2}},
-	{"treesum", "merged", 16,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 16, ExitsShared: 0},
-		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 1, SeqGroups: 2}},
-	{"bitonicmerge", "context", 13,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 8, ExitsShared: 0},
+	{"bitonicmerge", 13,
+		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbackAnalyses: 8},
 		par.Stats{ParStatements: 5, Branches: 10, LeafGroups: 5, SeqGroups: 0}},
-	{"bitonicmerge", "merged", 16,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 16, ExitsShared: 0},
-		par.Stats{ParStatements: 5, Branches: 10, LeafGroups: 5, SeqGroups: 0}},
-	{"treecopy", "context", 14,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 8, ExitsShared: 0},
+	{"treecopy", 14,
+		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbackAnalyses: 8},
 		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 1, SeqGroups: 2}},
-	{"treecopy", "merged", 16,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 16, ExitsShared: 0},
-		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 1, SeqGroups: 2}},
-	{"mutualwalk", "context", 14,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 9, ExitsShared: 0},
+	{"mutualwalk", 14,
+		analysis.CtxTableStats{Exact: 2, MergedProcs: 2, Evictions: 0, FallbackAnalyses: 9},
 		par.Stats{ParStatements: 4, Branches: 10, LeafGroups: 4, SeqGroups: 0}},
-	{"mutualwalk", "merged", 14,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 3, Evictions: 0, FallbacksActivated: 3, FallbackAnalyses: 14, ExitsShared: 0},
-		par.Stats{ParStatements: 4, Branches: 10, LeafGroups: 4, SeqGroups: 0}},
-	{"leftmost", "context", 1,
-		analysis.CtxTableStats{Exact: 1, MergedProcs: 0, Evictions: 0, FallbacksActivated: 0, FallbackAnalyses: 0, ExitsShared: 0},
+	{"leftmost", 1,
+		analysis.CtxTableStats{Exact: 1, MergedProcs: 0, Evictions: 0, FallbackAnalyses: 0},
 		par.Stats{ParStatements: 0, Branches: 0, LeafGroups: 0, SeqGroups: 0}},
-	{"leftmost", "merged", 1,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 1, ExitsShared: 0},
+	{"listinc", 1,
+		analysis.CtxTableStats{Exact: 1, MergedProcs: 0, Evictions: 0, FallbackAnalyses: 0},
 		par.Stats{ParStatements: 0, Branches: 0, LeafGroups: 0, SeqGroups: 0}},
-	{"listinc", "context", 1,
-		analysis.CtxTableStats{Exact: 1, MergedProcs: 0, Evictions: 0, FallbacksActivated: 0, FallbackAnalyses: 0, ExitsShared: 0},
-		par.Stats{ParStatements: 0, Branches: 0, LeafGroups: 0, SeqGroups: 0}},
-	{"listinc", "merged", 1,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 1, ExitsShared: 0},
-		par.Stats{ParStatements: 0, Branches: 0, LeafGroups: 0, SeqGroups: 0}},
-	{"dagdemo", "context", 1,
-		analysis.CtxTableStats{Exact: 1, MergedProcs: 0, Evictions: 0, FallbacksActivated: 0, FallbackAnalyses: 0, ExitsShared: 0},
+	{"dagdemo", 1,
+		analysis.CtxTableStats{Exact: 1, MergedProcs: 0, Evictions: 0, FallbackAnalyses: 0},
 		par.Stats{ParStatements: 2, Branches: 6, LeafGroups: 2, SeqGroups: 0}},
-	{"dagdemo", "merged", 1,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 1, ExitsShared: 0},
-		par.Stats{ParStatements: 2, Branches: 6, LeafGroups: 2, SeqGroups: 0}},
-	{"ctxpair", "context", 6,
-		analysis.CtxTableStats{Exact: 3, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 1, ExitsShared: 0},
+	{"ctxpair", 5,
+		analysis.CtxTableStats{Exact: 3, MergedProcs: 0, Evictions: 0, FallbackAnalyses: 0},
 		par.Stats{ParStatements: 3, Branches: 7, LeafGroups: 2, SeqGroups: 1}},
-	{"ctxpair", "merged", 3,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 3, ExitsShared: 0},
-		par.Stats{ParStatements: 2, Branches: 5, LeafGroups: 1, SeqGroups: 1}},
-	{"shareread", "context", 14,
-		analysis.CtxTableStats{Exact: 2, MergedProcs: 1, Evictions: 0, FallbacksActivated: 1, FallbackAnalyses: 8, ExitsShared: 1},
+	{"shareread", 14,
+		analysis.CtxTableStats{Exact: 3, MergedProcs: 1, Evictions: 0, FallbackAnalyses: 8},
 		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 1, SeqGroups: 2}},
-	{"shareread", "merged", 16,
-		analysis.CtxTableStats{Exact: 0, MergedProcs: 2, Evictions: 0, FallbacksActivated: 2, FallbackAnalyses: 16, ExitsShared: 0},
-		par.Stats{ParStatements: 3, Branches: 6, LeafGroups: 1, SeqGroups: 2}},
+	{"chain4", 36,
+		analysis.CtxTableStats{Exact: 9, MergedProcs: 2, Evictions: 0, FallbackAnalyses: 9},
+		par.Stats{ParStatements: 12, Branches: 30, LeafGroups: 12, SeqGroups: 0}},
+	{"chain8", 69,
+		analysis.CtxTableStats{Exact: 17, MergedProcs: 2, Evictions: 0, FallbackAnalyses: 9},
+		par.Stats{ParStatements: 21, Branches: 52, LeafGroups: 21, SeqGroups: 0}},
+	{"chain12", 102,
+		analysis.CtxTableStats{Exact: 25, MergedProcs: 2, Evictions: 0, FallbackAnalyses: 9},
+		par.Stats{ParStatements: 31, Branches: 76, LeafGroups: 31, SeqGroups: 0}},
 }
 
-// measureWorkCounts analyzes and parallelizes every corpus program in both
-// modes, each on a fresh Space at Workers 1.
-func measureWorkCounts(t *testing.T) []workCounts {
-	t.Helper()
-	var out []workCounts
-	for _, e := range progs.Catalog {
-		prog, err := progs.Compile(e.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+// chainSource is the chain-scale program shape of the bench module's
+// generator (bench/gen.go): main calls wk on an external tree and even;
+// wi calls w(i-1) on both children; the mutually recursive even/odd pair
+// walks the tree; wi with (i+phase)%3 == 0 swaps its children. incs holds
+// k+2 value increments. Keyed by call site the chain has 2k+1 contexts.
+func chainSource(name string, k, phase int, incs []int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "program %s\nprocedure main()\n  root: handle\nbegin\n  w%d(root);\n  even(root)\nend;\n", name, k)
+	for i := k; i >= 1; i-- {
+		fmt.Fprintf(&b, "procedure w%d(h: handle)\n  l, r: handle\nbegin\n  if h <> nil then\n  begin\n", i)
+		fmt.Fprintf(&b, "    h.value := h.value + %d;\n    l := h.left;\n    r := h.right", incs[i-1])
+		if i > 1 {
+			fmt.Fprintf(&b, ";\n    w%d(l);\n    w%d(r)", i-1, i-1)
 		}
-		for _, m := range []struct {
-			mode        string
-			maxContexts int
-		}{{"context", 0}, {"merged", -1}} {
-			info, err := analysis.Analyze(context.Background(), prog, analysis.Options{
-				ExternalRoots: e.Roots,
-				Workers:       1,
-				MaxContexts:   m.maxContexts,
-				Space:         matrix.NewSpace(path.NewSpace()),
-			})
-			if err != nil {
-				t.Fatalf("%s (%s): %v", e.Name, m.mode, err)
-			}
-			out = append(out, workCounts{
-				name:  e.Name,
-				mode:  m.mode,
-				steps: info.FixpointSteps,
-				ctx:   info.ContextTableStats(),
-				par:   par.Parallelize(info, par.DefaultOptions).Stats,
-			})
+		if (i+phase)%3 == 0 {
+			b.WriteString(";\n    h.left := r;\n    h.right := l")
 		}
+		b.WriteString("\n  end\nend;\n")
+	}
+	for _, p := range [2][2]string{{"even", "odd"}, {"odd", "even"}} {
+		inc := incs[k]
+		if p[0] == "odd" {
+			inc = incs[k+1]
+		}
+		fmt.Fprintf(&b, "procedure %s(h: handle)\n  l, r: handle\nbegin\n  if h <> nil then\n  begin\n", p[0])
+		fmt.Fprintf(&b, "    h.value := h.value + %d;\n    l := h.left;\n    r := h.right;\n    %s(l);\n    %s(r)\n  end\nend;\n", inc, p[1], p[1])
+	}
+	return b.String()
+}
+
+// workCountPrograms lists the measured programs: the corpus, then the
+// chains.
+func workCountPrograms() []progs.Entry {
+	out := append([]progs.Entry(nil), progs.Catalog...)
+	for _, k := range []int{4, 8, 12} {
+		incs := make([]int, k+2)
+		for i := range incs {
+			incs[i] = i + 1
+		}
+		name := fmt.Sprintf("chain%d", k)
+		out = append(out, progs.Entry{Name: name, Source: chainSource(name, k, 0, incs), Roots: []string{"root"}})
 	}
 	return out
 }
 
-// TestCorpusWorkCounts gates exactly on the corpus work counters. The
-// merged mode's wall-clock cost stays measurable with
-// `go test -bench CorpusAnalysisMerged .`.
+// measureWorkCounts analyzes and parallelizes every program, each on a
+// fresh Space at Workers 1.
+func measureWorkCounts(t *testing.T) []workCounts {
+	t.Helper()
+	var out []workCounts
+	for _, e := range workCountPrograms() {
+		prog, err := progs.Compile(e.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		info, err := analysis.Analyze(context.Background(), prog, analysis.Options{
+			ExternalRoots: e.Roots,
+			Workers:       1,
+			Space:         matrix.NewSpace(path.NewSpace()),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		out = append(out, workCounts{
+			name:  e.Name,
+			steps: info.FixpointSteps,
+			ctx:   info.ContextTableStats(),
+			par:   par.Parallelize(info, par.DefaultOptions).Stats,
+		})
+	}
+	return out
+}
+
+// TestCorpusWorkCounts gates exactly on the work counters.
 func TestCorpusWorkCounts(t *testing.T) {
 	got := measureWorkCounts(t)
 	if slices.Equal(got, corpusWorkCounts) {
@@ -149,15 +157,15 @@ func TestCorpusWorkCounts(t *testing.T) {
 	}
 	want := map[string]workCounts{}
 	for _, w := range corpusWorkCounts {
-		want[w.name+"/"+w.mode] = w
+		want[w.name] = w
 	}
 	for _, g := range got {
-		w, ok := want[g.name+"/"+g.mode]
+		w, ok := want[g.name]
 		switch {
 		case !ok:
-			t.Errorf("%s (%s): not pinned", g.name, g.mode)
+			t.Errorf("%s: not pinned", g.name)
 		case g != w:
-			t.Errorf("%s (%s):\n  got  %+v\n  want %+v", g.name, g.mode, g, w)
+			t.Errorf("%s:\n  got  %+v\n  want %+v", g.name, g, w)
 		}
 	}
 	if len(got) != len(corpusWorkCounts) {
@@ -166,7 +174,7 @@ func TestCorpusWorkCounts(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("var corpusWorkCounts = []workCounts{\n")
 	for _, g := range got {
-		fmt.Fprintf(&b, "\t{%q, %q, %d,\n\t\t%#v,\n\t\t%#v},\n", g.name, g.mode, g.steps, g.ctx, g.par)
+		fmt.Fprintf(&b, "\t{%q, %d,\n\t\t%#v,\n\t\t%#v},\n", g.name, g.steps, g.ctx, g.par)
 	}
 	b.WriteString("}")
 	t.Errorf("work counts moved; if the change is intended, replace the table with:\n%s", b.String())
