@@ -1,5 +1,10 @@
 package path
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // This file decides language questions about path expressions by viewing
 // each path as a tiny regular expression over the two-letter edge alphabet
 // {l, r}: L^i = l^i, L+ = l l*, D^i = (l|r)^i, D+ = (l|r)(l|r)*, and so on.
@@ -31,8 +36,12 @@ type nfa struct {
 // buildNFA unrolls the path's segments into the position automaton.
 // The accepting state is len(labels).
 func buildNFA(segs []Seg) nfa {
-	var labels []Dir
-	var loop []bool
+	n := 0
+	for _, s := range segs {
+		n += s.Min
+	}
+	labels := make([]Dir, 0, n)
+	loop := make([]bool, 0, n)
 	for _, s := range segs {
 		for i := 0; i < s.Min; i++ {
 			labels = append(labels, s.Dir)
@@ -233,56 +242,74 @@ func Subsumes(p, q Path) bool {
 	return v
 }
 
+// subsumesSlow decides L(q) ⊆ L(p) by walking the product of q's NFA with
+// the subset construction of p's: a counterexample is a reachable state
+// where q accepts but no p-state does. A p-state set is a bitset of
+// len(labels)/64+1 words, so the same walk serves any MaxExact.
 func subsumesSlow(ps, qs []Seg) bool {
 	pn, qn := buildNFA(ps), buildNFA(qs)
-	type st struct {
-		kq   int
-		pset string // sorted p-state set encoding
+	acc := len(pn.labels)
+	qstates := len(qn.labels) + 1
+	t := subsetTable{
+		w:     acc/64 + 1,
+		sets:  make([]uint64, 0, 2*qstates*(acc/64+1)),
+		kq:    make([]int32, 0, 2*qstates),
+		next:  make([]int32, 0, 2*qstates),
+		first: make([]int32, qstates),
 	}
-	encode := func(set map[int]bool) string {
-		buf := make([]byte, len(pn.labels)+1)
-		for i := range buf {
-			if set[i] {
-				buf[i] = '1'
-			} else {
-				buf[i] = '0'
-			}
-		}
-		return string(buf)
-	}
-	decode := func(s string) map[int]bool {
-		set := map[int]bool{}
-		for i := 0; i < len(s); i++ {
-			if s[i] == '1' {
-				set[i] = true
-			}
-		}
-		return set
-	}
-	pAccepts := func(set map[int]bool) bool { return set[len(pn.labels)] }
-	start := st{0, encode(map[int]bool{0: true})}
-	seen := map[st]bool{start: true}
-	work := []st{start}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		pset := decode(s.pset)
-		if qn.accept(s.kq) && !pAccepts(pset) {
+	cur, nxt := make([]uint64, t.w), make([]uint64, t.w)
+	nxt[0] = 1
+	t.add(0, nxt)
+	// The table doubles as the breadth-first work queue.
+	for i := 0; i < len(t.kq); i++ {
+		kq := int(t.kq[i])
+		copy(cur, t.set(i))
+		if qn.accept(kq) && cur[acc/64]&(1<<(acc%64)) == 0 {
 			return false
 		}
-		for _, letter := range []Dir{LeftD, RightD} {
-			next := map[int]bool{}
-			for kp := range pset {
-				pn.steps(kp, letter, func(n int) { next[n] = true })
-			}
-			qn.steps(s.kq, letter, func(nq int) {
-				n := st{nq, encode(next)}
-				if !seen[n] {
-					seen[n] = true
-					work = append(work, n)
-				}
-			})
+		for _, letter := range [2]Dir{LeftD, RightD} {
+			pn.stepSet(cur, letter, nxt)
+			qn.steps(kq, letter, func(nq int) { t.add(nq, nxt) })
 		}
 	}
 	return true
+}
+
+// stepSet writes into next the states reachable from the set cur on one
+// concrete letter (nfa.steps lifted to bitsets).
+func (m nfa) stepSet(cur []uint64, letter Dir, next []uint64) {
+	clear(next)
+	for w, word := range cur {
+		for word != 0 {
+			k := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			m.steps(k, letter, func(n int) { next[n/64] |= 1 << (n % 64) })
+		}
+	}
+}
+
+// subsetTable records the visited (q-state, p-state set) pairs of
+// subsumesSlow's walk, chained per q-state.
+type subsetTable struct {
+	w     int      // words per p-state set
+	sets  []uint64 // pair i's p-state set is sets[i*w : (i+1)*w]
+	kq    []int32  // pair i's q-state
+	next  []int32  // previous pair at the same q-state, plus one (0 ends)
+	first []int32  // last pair recorded at each q-state, plus one (0: none)
+}
+
+func (t *subsetTable) set(i int) []uint64 { return t.sets[i*t.w : (i+1)*t.w] }
+
+// add records the pair (kq, set) unless it was already visited; set is
+// copied.
+func (t *subsetTable) add(kq int, set []uint64) {
+	for i := t.first[kq]; i != 0; i = t.next[i-1] {
+		if slices.Equal(t.set(int(i-1)), set) {
+			return
+		}
+	}
+	t.sets = append(t.sets, set...)
+	t.kq = append(t.kq, int32(kq))
+	t.next = append(t.next, t.first[kq])
+	t.first[kq] = int32(len(t.kq))
 }

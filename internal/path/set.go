@@ -1,7 +1,7 @@
 package path
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -24,6 +24,38 @@ type Limits struct {
 // while still guaranteeing termination.
 var DefaultLimits = Limits{MaxExact: 8, MaxSegs: 6, MaxPaths: 8}
 
+// fixKey packs the limits into the non-zero word a Set records as its
+// Widen-fixpoint mark. Limits with a field outside [0, 2^21) pack to 0 and
+// are never recorded (such sets are simply re-widened every time).
+func (lim Limits) fixKey() uint64 {
+	const width = 21
+	if uint(lim.MaxExact)>>width != 0 || uint(lim.MaxSegs)>>width != 0 || uint(lim.MaxPaths)>>width != 0 {
+		return 0
+	}
+	return 1<<63 | uint64(lim.MaxExact)<<(2*width) | uint64(lim.MaxSegs)<<width | uint64(lim.MaxPaths)
+}
+
+// inBounds reports whether every member already meets the structural bounds
+// under lim: at most MaxPaths members, at most MaxSegs segments per path,
+// and no exact segment count above MaxExact.
+func (s Set) inBounds(lim Limits) bool {
+	if len(s.ps) > lim.MaxPaths {
+		return false
+	}
+	for _, p := range s.ps {
+		segs := p.segs()
+		if len(segs) > lim.MaxSegs {
+			return false
+		}
+		for _, sg := range segs {
+			if !sg.Inf && sg.Min > lim.MaxExact {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // widenPath applies the per-path structural bounds.
 func widenPath(p Path, lim Limits) Path {
 	segs := p.segs()
@@ -37,10 +69,10 @@ func widenPath(p Path, lim Limits) Path {
 			segs[i] = Seg{Dir: s.Dir, Min: lim.MaxExact, Inf: true}
 		}
 	}
+	if !changed && len(segs) <= lim.MaxSegs {
+		return p // within bounds: already canonical and interned
+	}
 	if len(segs) > lim.MaxSegs {
-		if !changed {
-			segs = append([]Seg(nil), segs...)
-		}
 		// Collapse the suffix beyond MaxSegs-1 into one D segment that
 		// covers at least the collapsed minimum length.
 		keep := lim.MaxSegs - 1
@@ -51,6 +83,8 @@ func widenPath(p Path, lim Limits) Path {
 		}
 		collapsed := Seg{Dir: DownD, Min: min, Inf: true}
 		_ = inf // the collapse is already a >= form
+		// The full-capacity slice makes append copy, so p's interned
+		// segments are never written.
 		segs = append(segs[:keep:keep], collapsed)
 		// Direction was approximated, so the path is merely possible now
 		// unless it already subsumed: collapsing to D^{>=min} still covers
@@ -71,6 +105,11 @@ type Set struct {
 	// fp is the order-independent 128-bit fingerprint of the members,
 	// maintained incrementally at construction (see fp.go).
 	fp [2]uint64
+	// fix is the Limits.fixKey under which the members are known to be a
+	// Widen fixpoint, or 0. It caches a property of the members alone, so
+	// an operation that returns its input unchanged keeps it, every other
+	// construction starts without it, and Equal ignores it.
+	fix uint64
 }
 
 // EmptySet is the entry for unrelated handles.
@@ -81,12 +120,28 @@ func EmptySet() Set { return Set{} }
 // stronger statement along the may/must axis used by the analysis: the set
 // records all possible relationships, and the flag upgrades one to a
 // guarantee).
-func NewSet(paths ...Path) Set {
-	var s Set
-	for _, p := range paths {
-		s = s.Add(p)
+func NewSet(paths ...Path) Set { return build(slices.Clone(paths)) }
+
+// build is the canonicalizing constructor behind every bulk operation: it
+// takes ownership of ps, sorts it once by Compare (which puts each
+// expression's definite spelling first), and keeps the first member per
+// expression. The result equals folding Add over ps in any order.
+func build(ps []Path) Set {
+	if len(ps) > 1 {
+		slices.SortFunc(ps, Path.Compare)
+		ps = slices.CompactFunc(ps, Path.EqualExpr)
 	}
-	return s
+	return mkSet(ps)
+}
+
+// cmpExpr orders members by expression alone: the set layout order, in
+// which Compare consults the definiteness flag only between equal
+// expressions.
+func cmpExpr(p, q Path) int {
+	if p.node == q.node {
+		return 0
+	}
+	return compareSegs(p.segs(), q.segs())
 }
 
 // IsEmpty reports whether the handles are unrelated.
@@ -98,30 +153,30 @@ func (s Set) Len() int { return len(s.ps) }
 // Paths returns the canonical contents. Callers must not modify the slice.
 func (s Set) Paths() []Path { return s.ps }
 
-// Add returns s with p included, keeping canonical form. Upgrading an
-// existing possible member to definite replaces it in place without
-// re-sorting: members are unique by expression and Compare consults the
-// definiteness flag only between equal expressions, so the flag flip cannot
-// reorder the member relative to any other (pinned by the canonical-order
-// property test in set_test.go).
+// Add returns s with p included, keeping canonical form. A new expression
+// is inserted at its binary-searched position in one exact-size copy.
+// Upgrading an existing possible member to definite replaces it in place:
+// the flag flip cannot reorder it, since members are unique by expression
+// (pinned by the canonical-order property test in set_test.go).
 func (s Set) Add(p Path) Set {
-	for i, q := range s.ps {
-		if q.EqualExpr(p) {
-			if q.possible && !p.possible {
-				out := append([]Path(nil), s.ps...)
-				out[i] = p
-				fp := s.fp
-				of, nf := pathFP(q), pathFP(p)
-				fp[0] += nf[0] - of[0]
-				fp[1] += nf[1] - of[1]
-				return Set{ps: out, fp: fp}
-			}
+	i, found := slices.BinarySearchFunc(s.ps, p, cmpExpr)
+	if found {
+		q := s.ps[i]
+		if !q.possible || p.possible {
 			return s
 		}
+		out := slices.Clone(s.ps)
+		out[i] = p
+		fp := s.fp
+		of, nf := pathFP(q), pathFP(p)
+		fp[0] += nf[0] - of[0]
+		fp[1] += nf[1] - of[1]
+		return Set{ps: out, fp: fp}
 	}
-	out := append([]Path(nil), s.ps...)
-	out = append(out, p)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := make([]Path, len(s.ps)+1)
+	copy(out, s.ps[:i])
+	out[i] = p
+	copy(out[i+1:], s.ps[i:])
 	f := pathFP(p)
 	return Set{ps: out, fp: [2]uint64{s.fp[0] + f[0], s.fp[1] + f[1]}}
 }
@@ -137,120 +192,185 @@ func (s Set) Union(t Set) Set {
 	if len(t.ps) == 0 {
 		return s
 	}
-	out := s
-	for _, p := range t.ps {
-		out = out.Add(p)
-	}
-	return out
+	return merge(s, t, false)
 }
 
 // MergeJoin combines estimates from two alternative control-flow paths
 // (if/else arms, loop iterations). A path expression is definite in the
 // result only if it is definite in both inputs; expressions present on only
-// one side survive as possible.
+// one side survive as possible. Joining equal sets returns s itself.
 func (s Set) MergeJoin(t Set) Set {
-	var out Set
-	for _, p := range s.ps {
-		q, ok := t.find(p)
-		switch {
-		case ok && p.Definite() && q.Definite():
-			out = out.Add(p)
-		default:
-			out = out.Add(p.AsPossible())
-		}
+	if s.Equal(t) {
+		return s
 	}
-	for _, q := range t.ps {
-		if _, ok := s.find(q); !ok {
-			out = out.Add(q.AsPossible())
-		}
-	}
-	return out
+	return merge(s, t, true)
 }
 
-func (s Set) find(p Path) (Path, bool) {
-	for _, q := range s.ps {
-		if q.EqualExpr(p) {
-			return q, true
+// merge walks two canonical member lists in layout order, so its output is
+// canonical without a sort. An expression in both lists keeps its definite
+// spelling (Union), or under join stays definite only when definite in
+// both; under join an expression in one list only becomes possible.
+func merge(s, t Set, join bool) Set {
+	var buf [16]Path
+	out := buf[:0]
+	one := func(p Path) Path {
+		if join {
+			return p.AsPossible()
+		}
+		return p
+	}
+	i, j := 0, 0
+	for i < len(s.ps) && j < len(t.ps) {
+		p, q := s.ps[i], t.ps[j]
+		switch c := cmpExpr(p, q); {
+		case c < 0:
+			out = append(out, one(p))
+			i++
+		case c > 0:
+			out = append(out, one(q))
+			j++
+		default:
+			if join {
+				p.possible = p.possible || q.possible
+			} else {
+				p.possible = p.possible && q.possible
+			}
+			out = append(out, p)
+			i++
+			j++
 		}
 	}
-	return Path{}, false
+	for ; i < len(s.ps); i++ {
+		out = append(out, one(s.ps[i]))
+	}
+	for ; j < len(t.ps); j++ {
+		out = append(out, one(t.ps[j]))
+	}
+	return mkSet(slices.Clone(out))
 }
 
 // Demote returns s with every path for which cond holds downgraded to
-// possible (used by the a.f := b kill rule).
+// possible (used by the a.f := b kill rule). cond sees every member in
+// order, whatever its flag: its language queries are memoized, so skipping
+// one would change the Space's verdict table.
 func (s Set) Demote(cond func(Path) bool) Set {
-	var out Set
-	for _, p := range s.ps {
-		if cond(p) {
-			p = p.AsPossible()
+	var out []Path
+	for i, p := range s.ps {
+		if !cond(p) || p.possible {
+			continue
 		}
-		out = out.Add(p)
+		if out == nil {
+			out = slices.Clone(s.ps)
+		}
+		out[i] = p.AsPossible()
 	}
-	return out
+	if out == nil {
+		return s
+	}
+	return mkSet(out)
 }
 
-// Filter returns the subset satisfying keep.
+// Filter returns the subset satisfying keep, which sees every member in
+// order (as Demote's cond does).
 func (s Set) Filter(keep func(Path) bool) Set {
-	var out Set
-	for _, p := range s.ps {
-		if keep(p) {
-			out = out.Add(p)
+	var out []Path
+	for i, p := range s.ps {
+		switch {
+		case !keep(p):
+			if out == nil {
+				out = make([]Path, i, len(s.ps)-1)
+				copy(out, s.ps[:i])
+			}
+		case out != nil:
+			out = append(out, p)
 		}
 	}
-	return out
+	if out == nil {
+		return s
+	}
+	return mkSet(out)
 }
 
 // ExtendAll appends one edge in direction d to every member. Results stay
 // in each member's Space; an S member extends into the process default —
 // callers whose sets may contain S in a private Space use Space.ExtendAll.
 func (s Set) ExtendAll(d Dir) Set {
-	var out Set
-	for _, p := range s.ps {
-		out = out.Add(p.Extend(d))
+	out := make([]Path, len(s.ps))
+	for i, p := range s.ps {
+		out[i] = p.Extend(d)
 	}
-	return out
+	return build(out)
 }
 
 // ExtendAll appends one edge in direction d to every member, interning the
 // results in sp (required when the set may contain S).
 func (sp *Space) ExtendAll(s Set, d Dir) Set {
-	var out Set
-	for _, p := range s.ps {
-		out = out.Add(sp.Extend(p, d))
+	out := make([]Path, len(s.ps))
+	for i, p := range s.ps {
+		out[i] = sp.Extend(p, d)
 	}
-	return out
+	return build(out)
 }
 
 // ConcatAll returns {p·q : p ∈ s, q ∈ t}.
 func (s Set) ConcatAll(t Set) Set {
-	var out Set
+	out := make([]Path, 0, len(s.ps)*len(t.ps))
 	for _, p := range s.ps {
 		for _, q := range t.ps {
-			out = out.Add(p.Concat(q))
+			out = append(out, p.Concat(q))
 		}
 	}
-	return out
+	return build(out)
 }
 
 // ResidueAll computes the entry for (b.f → x) from the entry for (b → x).
 func (s Set) ResidueAll(f Dir) Set {
-	var out Set
+	var out []Path
 	for _, p := range s.ps {
-		for _, r := range p.Residue(f) {
-			out = out.Add(r)
-		}
+		out = append(out, p.Residue(f)...)
 	}
-	return out
+	return build(out)
 }
 
 // Widen applies the domain bounds: per-path structural bounds, then
 // subsumption-dropping of covered possible members, then — only if the set
 // is still too wide — direction-preserving signature collapse, and as a
 // last resort a fold into a single D^{>=m}? member.
+//
+// A result that already meets the bounds (see Set.inBounds) is a fixpoint —
+// widening it again returns it unchanged — and is marked with lim, so
+// widening it again under the same limits returns at once. Other results
+// are not marked: the suffix collapse can leave an exact segment above
+// MaxExact (canon absorbs an L^{>=9} next to the new D^{>=m} into L9),
+// which a second Widen would bound again.
 func (s Set) Widen(lim Limits) Set {
-	var out Set
-	for _, p := range s.ps {
-		out = out.Add(widenPath(p, lim))
+	key := lim.fixKey()
+	if len(s.ps) == 0 || (key != 0 && s.fix == key) {
+		return s
+	}
+	out := s.widen(lim)
+	if key != 0 && out.inBounds(lim) {
+		out.fix = key
+	}
+	return out
+}
+
+// widen is Widen without the fixpoint record.
+func (s Set) widen(lim Limits) Set {
+	out := s
+	var ps []Path // copy-on-write: allocated when a member first changes
+	for i, p := range s.ps {
+		w := widenPath(p, lim)
+		if ps == nil && w.Equal(p) {
+			continue
+		}
+		if ps == nil {
+			ps = slices.Clone(s.ps)
+		}
+		ps[i] = w
+	}
+	if ps != nil {
+		out = build(ps)
 	}
 	out = out.dropSubsumed()
 	if out.Len() <= lim.MaxPaths {
@@ -309,27 +429,26 @@ func (s Set) dropSubsumed() Set {
 	if len(s.ps) < 2 {
 		return s
 	}
-	keep := make([]Path, 0, len(s.ps))
+	var keep []Path // copy-on-write: allocated at the first dropped member
 	for i, q := range s.ps {
-		if q.Definite() {
-			keep = append(keep, q)
-			continue
-		}
 		covered := false
-		for j, p := range s.ps {
-			if i == j || q.EqualExpr(p) {
-				continue
-			}
-			if Subsumes(p, q) {
-				covered = true
-				break
+		if q.Possible() {
+			for j, p := range s.ps {
+				if i != j && !q.EqualExpr(p) && Subsumes(p, q) {
+					covered = true
+					break
+				}
 			}
 		}
-		if !covered {
+		switch {
+		case covered && keep == nil:
+			keep = make([]Path, i, len(s.ps)-1)
+			copy(keep, s.ps[:i])
+		case !covered && keep != nil:
 			keep = append(keep, q)
 		}
 	}
-	if len(keep) == len(s.ps) {
+	if keep == nil {
 		return s
 	}
 	return mkSet(keep)
@@ -340,23 +459,21 @@ func (s Set) dropSubsumed() Set {
 // direction information that the final D-collapse would lose. The merged
 // path is definite only when every merged member was.
 func (s Set) collapseBySignature() Set {
-	groups := map[string][]Path{}
-	var order []string
+	// groups[i] lists the members sharing one signature, in member order;
+	// groups are ordered by their first member.
+	var groups [][]Path
 	for _, p := range s.ps {
-		sig := ""
-		for _, seg := range p.segs() {
-			sig += seg.Dir.String()
+		i := slices.IndexFunc(groups, func(g []Path) bool { return sameSignature(g[0], p) })
+		if i < 0 {
+			groups = append(groups, nil)
+			i = len(groups) - 1
 		}
-		if _, ok := groups[sig]; !ok {
-			order = append(order, sig)
-		}
-		groups[sig] = append(groups[sig], p)
+		groups[i] = append(groups[i], p)
 	}
-	var out Set
-	for _, sig := range order {
-		g := groups[sig]
+	out := make([]Path, 0, len(groups))
+	for _, g := range groups {
 		if len(g) == 1 {
-			out = out.Add(g[0])
+			out = append(out, g[0])
 			continue
 		}
 		first := g[0]
@@ -373,9 +490,15 @@ func (s Set) collapseBySignature() Set {
 				}
 			}
 		}
-		out = out.Add(newPathIn(spaceOf(procSpace, first), segs, !definite))
+		out = append(out, newPathIn(spaceOf(procSpace, first), segs, !definite))
 	}
-	return out
+	return build(out)
+}
+
+// sameSignature reports whether p and q run through the same sequence of
+// directions (their segment counts may differ only if the directions do).
+func sameSignature(p, q Path) bool {
+	return slices.EqualFunc(p.segs(), q.segs(), func(a, b Seg) bool { return a.Dir == b.Dir })
 }
 
 // Equal reports set equality including definiteness flags. The fingerprint
@@ -468,13 +591,14 @@ func (sp *Space) ParseSet(src string) (Set, error) {
 	if src == "" || src == "{}" {
 		return EmptySet(), nil
 	}
-	var out Set
-	for _, part := range strings.Split(src, ",") {
+	parts := strings.Split(src, ",")
+	out := make([]Path, len(parts))
+	for i, part := range parts {
 		p, err := sp.Parse(strings.TrimSpace(part))
 		if err != nil {
 			return Set{}, err
 		}
-		out = out.Add(p)
+		out[i] = p
 	}
-	return out, nil
+	return build(out), nil
 }

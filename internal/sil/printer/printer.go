@@ -6,6 +6,7 @@ package printer
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sil/ast"
@@ -43,7 +44,11 @@ func PrintStmt(s ast.Stmt, indent int) string {
 }
 
 // PrintExpr renders an expression.
-func PrintExpr(e ast.Expr) string { return exprString(e, 0) }
+func PrintExpr(e ast.Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e, 0)
+	return b.String()
+}
 
 func ind(b *strings.Builder, n int) {
 	for i := 0; i < n; i++ {
@@ -109,10 +114,14 @@ func printStmt(b *strings.Builder, s ast.Stmt, indent int) {
 		b.WriteString("end")
 	case *ast.Assign:
 		ind(b, indent)
-		fmt.Fprintf(b, "%s := %s", lvalueString(s.Lhs), exprString(s.Rhs, 0))
+		b.WriteString(lvalueString(s.Lhs))
+		b.WriteString(" := ")
+		writeExpr(b, s.Rhs, 0)
 	case *ast.If:
 		ind(b, indent)
-		fmt.Fprintf(b, "if %s then\n", exprString(s.Cond, 0))
+		b.WriteString("if ")
+		writeExpr(b, s.Cond, 0)
+		b.WriteString(" then\n")
 		then := s.Then
 		if s.Else != nil && endsInOpenIf(then) {
 			// Dangling else: a then-branch whose rightmost statement is an
@@ -129,11 +138,13 @@ func printStmt(b *strings.Builder, s ast.Stmt, indent int) {
 		}
 	case *ast.While:
 		ind(b, indent)
-		fmt.Fprintf(b, "while %s do\n", exprString(s.Cond, 0))
+		b.WriteString("while ")
+		writeExpr(b, s.Cond, 0)
+		b.WriteString(" do\n")
 		printStmt(b, s.Body, indent+1)
 	case *ast.CallStmt:
 		ind(b, indent)
-		fmt.Fprintf(b, "%s(%s)", s.Name, argsString(s.Args))
+		writeCall(b, s.Name, s.Args)
 	case *ast.Par:
 		// Parallel branches print inline when simple, one statement per
 		// "||" separator, matching Figure 8's layout.
@@ -193,12 +204,17 @@ func lvalueString(l ast.LValue) string {
 	return "?"
 }
 
-func argsString(args []ast.Expr) string {
-	parts := make([]string, len(args))
+// writeCall renders name(arg, arg, ...).
+func writeCall(b *strings.Builder, name string, args []ast.Expr) {
+	b.WriteString(name)
+	b.WriteByte('(')
 	for i, a := range args {
-		parts[i] = exprString(a, 0)
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeExpr(b, a, 0)
 	}
-	return strings.Join(parts, ", ")
+	b.WriteByte(')')
 }
 
 // Operator precedence levels for minimal parenthesization, matching the
@@ -224,42 +240,50 @@ func opPrec(op ast.Op) int {
 	return 8
 }
 
-func exprString(e ast.Expr, outer int) string {
+// writeExpr renders e into b with minimal parentheses for an enclosing
+// precedence of outer. Writing into one builder keeps printing linear in
+// the expression size (a long left-deep "+" chain would otherwise re-copy
+// its growing prefix at every level).
+func writeExpr(b *strings.Builder, e ast.Expr, outer int) {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		if e.Val < 0 {
-			return fmt.Sprintf("(%d)", e.Val)
+			b.WriteByte('(')
+			b.WriteString(strconv.FormatInt(e.Val, 10))
+			b.WriteByte(')')
+			return
 		}
-		return fmt.Sprintf("%d", e.Val)
+		b.WriteString(strconv.FormatInt(e.Val, 10))
 	case *ast.VarRef:
-		return e.Name
+		b.WriteString(e.Name)
 	case *ast.NilLit:
-		return "nil"
+		b.WriteString("nil")
 	case *ast.NewExpr:
-		return "new()"
+		b.WriteString("new()")
 	case *ast.FieldRef:
-		var b strings.Builder
 		b.WriteString(e.Base)
 		for _, f := range e.Chain {
-			fmt.Fprintf(&b, ".%s", f)
+			b.WriteByte('.')
+			b.WriteString(f.String())
 		}
-		fmt.Fprintf(&b, ".%s", e.Field)
-		return b.String()
+		b.WriteByte('.')
+		b.WriteString(e.Field.String())
 	case *ast.CallExpr:
-		return fmt.Sprintf("%s(%s)", e.Name, argsString(e.Args))
+		writeCall(b, e.Name, e.Args)
 	case *ast.Unary:
 		p := opPrec(e.Op)
-		inner := exprString(e.X, p)
-		var s string
-		if e.Op == ast.Not {
-			s = "not " + inner
-		} else {
-			s = "-" + inner
-		}
 		if p < outer {
-			return "(" + s + ")"
+			b.WriteByte('(')
 		}
-		return s
+		if e.Op == ast.Not {
+			b.WriteString("not ")
+		} else {
+			b.WriteString("-")
+		}
+		writeExpr(b, e.X, p)
+		if p < outer {
+			b.WriteByte(')')
+		}
 	case *ast.Binary:
 		p := opPrec(e.Op)
 		// Left-associative: right operand needs parens at equal precedence.
@@ -269,13 +293,20 @@ func exprString(e ast.Expr, outer int) string {
 		if isComparison(e.Op) {
 			xp = p + 1
 		}
-		s := fmt.Sprintf("%s %s %s", exprString(e.X, xp), e.Op, exprString(e.Y, p+1))
 		if p < outer {
-			return "(" + s + ")"
+			b.WriteByte('(')
 		}
-		return s
+		writeExpr(b, e.X, xp)
+		b.WriteByte(' ')
+		b.WriteString(e.Op.String())
+		b.WriteByte(' ')
+		writeExpr(b, e.Y, p+1)
+		if p < outer {
+			b.WriteByte(')')
+		}
+	default:
+		b.WriteString("?")
 	}
-	return "?"
 }
 
 // isComparison reports whether op is one of the non-associative comparison

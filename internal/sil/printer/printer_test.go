@@ -1,6 +1,7 @@
 package printer
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -134,5 +135,35 @@ func TestChainedSelectorsPrint(t *testing.T) {
 	got := PrintStmt(stmts[0], 0)
 	if got != "a.left.right := b.right.left.value" {
 		t.Errorf("chain print = %q", got)
+	}
+}
+
+// TestPrintExprLinear: printing a left-deep "+" chain allocates bytes
+// roughly linear in its length. Quadrupling the chain must grow allocation
+// well under 8x (quadratic printing grows it about 16x).
+func TestPrintExprLinear(t *testing.T) {
+	chain := func(n int) ast.Expr {
+		var e ast.Expr = &ast.VarRef{Name: "x"}
+		for i := 1; i < n; i++ {
+			e = &ast.Binary{Op: ast.Add, X: e, Y: &ast.IntLit{Val: 1}}
+		}
+		return e
+	}
+	allocated := func(e ast.Expr) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := PrintExpr(e)
+		runtime.ReadMemStats(&after)
+		if !strings.HasPrefix(out, "x + 1 + 1") {
+			t.Fatalf("unexpected rendering %.20q", out)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const n = 2000
+	small, large := allocated(chain(n)), allocated(chain(4*n))
+	ratio := float64(large) / float64(small)
+	t.Logf("%d terms: %d bytes; %d terms: %d bytes (%.1fx)", n, small, 4*n, large, ratio)
+	if ratio >= 8 {
+		t.Errorf("printing %d terms allocated %d bytes, %d terms %d bytes: ratio %.1f, want < 8", n, small, 4*n, large, ratio)
 	}
 }
